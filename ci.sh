@@ -58,6 +58,9 @@ echo "fleet wall-clock: ${fleet_ms}ms (budget 60000ms)"
 echo "==> repro fleet-scale smoke (--fast --clients 100000 ratios)"
 cargo run --release -p cloudchar-bench --bin repro -- --fast --clients 100000 ratios > /dev/null
 
+echo "==> e2ebench self-test (seed-42 pins per workload, pinned-fingerprint negative case)"
+python3 e2ebench/selftest.py
+
 echo "==> cargo run -p cloudchar-lint -- --json (schema + wall-clock budget)"
 lint_start=$(date +%s%N)
 lint_json=$(cargo run --release -p cloudchar-lint -- --json)

@@ -80,12 +80,13 @@ fn bench_db_query(c: &mut Criterion) {
     c.bench_function("mysql_get_item", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
-            black_box(server.execute(
+            let work = server.execute(
                 Query::GetItem {
                     item: ItemId(i % 200),
                 },
                 0,
-            ))
+            );
+            black_box((work.cpu_cycles, work.ios.len()))
         })
     });
 }

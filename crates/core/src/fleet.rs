@@ -44,10 +44,10 @@ use cloudchar_simcore::shard::{
 };
 use cloudchar_simcore::stats::{IntervalTally, Welford};
 use cloudchar_simcore::{
-    fault, Dist, Engine, FaultKind, FaultPhase, Sample, SimDuration, SimRng, SimTime,
+    fault, Dist, Engine, FaultKind, FaultPhase, IntMap, Sample, SimDuration, SimRng, SimTime,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The generator shard's id (also the smallest id, so at equal
 /// timestamps its sends order before every pod's local events).
@@ -399,7 +399,7 @@ struct PodInner {
     sample_row: SampleRow,
     sample_interval: SimDuration,
     sessions: u32,
-    inflight: HashMap<u64, PodRequest>,
+    inflight: IntMap<u64, PodRequest>,
     pending_web: VecDeque<u64>,
     next_req: u64,
     tcp_opened: u64,
@@ -582,7 +582,7 @@ fn pod_db_execute(engine: &mut Engine<PodInner>, w: &mut PodInner, id: u64, q: Q
     let now_s = engine.now().as_secs_f64() as u32;
     let work = w.mysql.execute(q, now_s);
     let mut barrier = engine.now();
-    for io in &work.ios {
+    for io in work.ios {
         let done = w.platform.disk_io(engine.now(), Tier::Db, *io);
         barrier = barrier.max(done);
     }
@@ -822,7 +822,7 @@ fn build_pod(cfg: &FleetConfig, index: u32, master: &SimRng) -> PodShard {
         sample_row: SampleRow::with_capacity(cloudchar_monitor::TOTAL_METRICS),
         sample_interval: base.sample_interval,
         sessions: sessions_here,
-        inflight: HashMap::new(),
+        inflight: IntMap::default(),
         pending_web: VecDeque::new(),
         next_req: 0,
         tcp_opened: 0,

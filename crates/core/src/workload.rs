@@ -28,8 +28,10 @@ use cloudchar_rubis::{
     RetryPolicy, WebAppServer,
 };
 use cloudchar_simcore::stats::{LogHistogram, Welford};
-use cloudchar_simcore::{Dist, Engine, EventId, Sample, SimDuration, SimRng, SimTime, TimerWheel};
-use std::collections::{HashMap, VecDeque};
+use cloudchar_simcore::{
+    Dist, Engine, EventId, IntMap, Sample, SimDuration, SimRng, SimTime, TimerWheel,
+};
+use std::collections::VecDeque;
 
 /// Phase of an in-flight request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +115,7 @@ pub struct World {
     /// instead of one per client (see [`cloudchar_simcore::wheel`]).
     wheel: TimerWheel,
     faults: FaultState,
-    inflight: HashMap<u64, Request>,
+    inflight: IntMap<u64, Request>,
     pending_web: VecDeque<u64>,
     next_req: u64,
     tcp_opened: u64,
@@ -168,7 +170,7 @@ impl World {
             // the longest delay ever armed (the 120 s think-time cap).
             wheel: TimerWheel::new(SimDuration::from_secs(1), 256),
             faults,
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             pending_web: VecDeque::new(),
             next_req: 0,
             tcp_opened: 0,
@@ -460,7 +462,7 @@ fn db_execute(engine: &mut Engine<World>, world: &mut World, id: u64, q: Query) 
     let now_s = engine.now().as_secs_f64() as u32;
     let work = world.mysql.execute(q, now_s);
     let mut barrier = engine.now();
-    for io in &work.ios {
+    for io in work.ios {
         let done = world.platform.disk_io(engine.now(), Tier::Db, *io);
         barrier = barrier.max(done);
     }

@@ -12,9 +12,8 @@ use crate::schema::{
 };
 use crate::storage::{page_of, Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
 use cloudchar_hw::{IoKind, IoRequest};
-use cloudchar_simcore::SimRng;
+use cloudchar_simcore::{IntMap, SimRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Items shown per search result page (RUBiS default).
 pub const ITEMS_PER_PAGE: usize = 20;
@@ -188,7 +187,7 @@ pub struct QueryResult {
     /// Pages dirtied by the query.
     pub dirty_pages: Vec<PageRef>,
     /// Tables the query depends on (for query-cache invalidation).
-    pub tables: Vec<TableId>,
+    pub tables: &'static [TableId],
 }
 
 /// Average row footprints used for page math (bytes).
@@ -225,11 +224,11 @@ pub struct Database {
     comments: Vec<Comment>,
     buy_nows: Vec<BuyNow>,
     items_by_category: Vec<Vec<ItemId>>,
-    bids_by_item: HashMap<ItemId, Vec<u32>>,
-    comments_by_to: HashMap<UserId, Vec<u32>>,
-    items_by_seller: HashMap<UserId, Vec<ItemId>>,
-    bids_by_user: HashMap<UserId, Vec<u32>>,
-    buy_nows_by_buyer: HashMap<UserId, Vec<u32>>,
+    bids_by_item: IntMap<ItemId, Vec<u32>>,
+    comments_by_to: IntMap<UserId, Vec<u32>>,
+    items_by_seller: IntMap<UserId, Vec<ItemId>>,
+    bids_by_user: IntMap<UserId, Vec<u32>>,
+    buy_nows_by_buyer: IntMap<UserId, Vec<u32>>,
 }
 
 impl std::fmt::Debug for Database {
@@ -256,11 +255,11 @@ impl Database {
             comments: Vec::new(),
             buy_nows: Vec::new(),
             items_by_category: vec![Vec::new(); usize::from(scale.categories)],
-            bids_by_item: HashMap::new(),
-            comments_by_to: HashMap::new(),
-            items_by_seller: HashMap::new(),
-            bids_by_user: HashMap::new(),
-            buy_nows_by_buyer: HashMap::new(),
+            bids_by_item: IntMap::default(),
+            comments_by_to: IntMap::default(),
+            items_by_seller: IntMap::default(),
+            bids_by_user: IntMap::default(),
+            buy_nows_by_buyer: IntMap::default(),
         };
         for item in &db.items {
             db.items_by_category[usize::from(item.category.0)].push(item.id);
@@ -350,12 +349,17 @@ impl Database {
         });
     }
 
-    /// Execute a query. `now_s` stamps inserted rows.
-    pub fn execute(&mut self, q: Query, now_s: u32) -> QueryResult {
-        let mut r = QueryResult::default();
+    /// Execute a query into `r`, overwriting it. `now_s` stamps
+    /// inserted rows.
+    pub fn execute(&mut self, q: Query, now_s: u32, r: &mut QueryResult) {
+        r.rows = 0;
+        r.result_bytes = 0;
+        r.cpu_cycles = 0.0;
+        r.pages.clear();
+        r.dirty_pages.clear();
         match q {
             Query::SelectCategories => {
-                r.tables = vec![TableId::Categories];
+                r.tables = &[TableId::Categories];
                 r.rows = u64::from(self.scale.categories);
                 r.result_bytes = r.rows * 40;
                 r.pages.push(PageRef {
@@ -364,7 +368,7 @@ impl Database {
                 });
             }
             Query::SelectRegions => {
-                r.tables = vec![TableId::Regions];
+                r.tables = &[TableId::Regions];
                 r.rows = u64::from(self.scale.regions);
                 r.result_bytes = r.rows * 30;
                 r.pages.push(PageRef {
@@ -373,18 +377,14 @@ impl Database {
                 });
             }
             Query::SearchItemsByCategory { category, page } => {
-                r.tables = vec![TableId::Items];
+                r.tables = &[TableId::Items];
                 let cat = usize::from(category.0).min(self.items_by_category.len() - 1);
                 let ids = &self.items_by_category[cat];
                 let start = page as usize * ITEMS_PER_PAGE;
-                let slice: Vec<ItemId> = ids
-                    .iter()
-                    .skip(start)
-                    .take(ITEMS_PER_PAGE)
-                    .copied()
-                    .collect();
+                let slice = ids.get(start..).unwrap_or_default();
+                let slice = &slice[..slice.len().min(ITEMS_PER_PAGE)];
                 Self::index_pages(TableId::Items, u64::from(category.0), &mut r.pages);
-                for id in &slice {
+                for id in slice {
                     r.pages
                         .push(Self::data_page(TableId::Items, u64::from(id.0)));
                 }
@@ -396,7 +396,7 @@ impl Database {
                 region,
                 page,
             } => {
-                r.tables = vec![TableId::Items, TableId::Users];
+                r.tables = &[TableId::Items, TableId::Users];
                 let cat = usize::from(category.0).min(self.items_by_category.len() - 1);
                 let ids = &self.items_by_category[cat];
                 // Join through sellers' region: scan the category slice,
@@ -427,7 +427,7 @@ impl Database {
                 r.cpu_cycles += examined as f64 * cost::PER_ROW * 0.4;
             }
             Query::GetItem { item } => {
-                r.tables = vec![TableId::Items, TableId::Users];
+                r.tables = &[TableId::Items, TableId::Users];
                 let it = &self.items[item.0 as usize % self.items.len()];
                 r.pages
                     .push(Self::data_page(TableId::Items, u64::from(it.id.0)));
@@ -437,7 +437,7 @@ impl Database {
                 r.result_bytes = 110 + u64::from(it.description_len) / 6;
             }
             Query::GetUserInfo { user } => {
-                r.tables = vec![TableId::Users, TableId::Comments];
+                r.tables = &[TableId::Users, TableId::Comments];
                 let uid = user.0 as usize % self.users.len();
                 r.pages.push(Self::data_page(TableId::Users, uid as u64));
                 Self::index_pages(TableId::Comments, uid as u64, &mut r.pages);
@@ -459,17 +459,11 @@ impl Database {
                 r.result_bytes = 80 + r.rows * 40;
             }
             Query::GetBidHistory { item } => {
-                r.tables = vec![TableId::Bids, TableId::Users];
+                r.tables = &[TableId::Bids, TableId::Users];
                 let iid = ItemId(item.0 % self.items.len() as u32);
                 Self::index_pages(TableId::Bids, u64::from(iid.0), &mut r.pages);
-                let idxs: Vec<u32> = self
-                    .bids_by_item
-                    .get(&iid)
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                for &bi in &idxs {
+                let idxs = self.bids_by_item.get(&iid).map_or(&[][..], Vec::as_slice);
+                for &bi in idxs {
                     r.pages.push(Self::data_page(TableId::Bids, u64::from(bi)));
                     let bidder = self.bids[bi as usize].user;
                     r.pages
@@ -479,14 +473,14 @@ impl Database {
                 r.result_bytes = 70 + r.rows * 28;
             }
             Query::GetMaxBid { item } => {
-                r.tables = vec![TableId::Items];
+                r.tables = &[TableId::Items];
                 let iid = item.0 as usize % self.items.len();
                 r.pages.push(Self::data_page(TableId::Items, iid as u64));
                 r.rows = 1;
                 r.result_bytes = 40;
             }
             Query::AuthUser { user } => {
-                r.tables = vec![TableId::Users];
+                r.tables = &[TableId::Users];
                 let uid = user.0 as usize % self.users.len();
                 Self::index_pages(TableId::Users, uid as u64, &mut r.pages);
                 r.pages.push(Self::data_page(TableId::Users, uid as u64));
@@ -494,7 +488,7 @@ impl Database {
                 r.result_bytes = 50;
             }
             Query::AboutMe { user } => {
-                r.tables = vec![
+                r.tables = &[
                     TableId::Users,
                     TableId::Bids,
                     TableId::Items,
@@ -540,7 +534,7 @@ impl Database {
                 r.result_bytes = 120 + rows * 35;
             }
             Query::RegisterUser { region } => {
-                r.tables = vec![TableId::Users];
+                r.tables = &[TableId::Users];
                 let id = UserId(self.users.len() as u32);
                 self.users.push(User {
                     id,
@@ -560,7 +554,7 @@ impl Database {
                 item,
                 increment,
             } => {
-                r.tables = vec![TableId::Bids, TableId::Items];
+                r.tables = &[TableId::Bids, TableId::Items];
                 let iid = (item.0 as usize) % self.items.len();
                 let item_page = Self::data_page(TableId::Items, iid as u64);
                 r.pages.push(item_page);
@@ -587,7 +581,7 @@ impl Database {
                 r.result_bytes = 50;
             }
             Query::StoreComment { from, to, item } => {
-                r.tables = vec![TableId::Comments, TableId::Users];
+                r.tables = &[TableId::Comments, TableId::Users];
                 let to = UserId(to.0 % self.users.len() as u32);
                 let user_page = Self::data_page(TableId::Users, u64::from(to.0));
                 r.pages.push(user_page);
@@ -607,7 +601,7 @@ impl Database {
                 r.result_bytes = 50;
             }
             Query::StoreBuyNow { buyer, item } => {
-                r.tables = vec![TableId::BuyNow, TableId::Items];
+                r.tables = &[TableId::BuyNow, TableId::Items];
                 let iid = (item.0 as usize) % self.items.len();
                 let item_page = Self::data_page(TableId::Items, iid as u64);
                 r.pages.push(item_page);
@@ -634,18 +628,17 @@ impl Database {
             + r.rows as f64 * cost::PER_ROW
             + (r.pages.len() + r.dirty_pages.len()) as f64 * cost::PER_PAGE
             + if q.is_write() { cost::WRITE_EXTRA } else { 0.0 };
-        r
     }
 }
 
 /// Disk and CPU work produced by one query at the mysqld level.
 #[derive(Debug, Clone, Default)]
-pub struct DbWork {
+pub struct DbWork<'a> {
     /// Executor + protocol CPU cycles.
     pub cpu_cycles: f64,
     /// Disk operations to issue (buffer-pool misses, write-back,
-    /// transaction log).
-    pub ios: Vec<IoRequest>,
+    /// transaction log), in a buffer the server reuses per query.
+    pub ios: &'a [IoRequest],
     /// Result bytes returned to the application tier.
     pub response_bytes: u64,
     /// Rows produced/affected.
@@ -689,6 +682,9 @@ pub struct MySqlServer {
     config: MySqlConfig,
     pool: BufferPool,
     cache: QueryCache,
+    /// Per-query scratch, reused so execution does not allocate.
+    result: QueryResult,
+    ios: Vec<IoRequest>,
     /// Currently open client connections (drives memory accounting).
     pub connections: u32,
     queries_executed: u64,
@@ -702,6 +698,8 @@ impl MySqlServer {
             db,
             pool: BufferPool::new(config.buffer_pool_bytes),
             cache: QueryCache::new(config.query_cache_bytes),
+            result: QueryResult::default(),
+            ios: Vec::new(),
             config,
             connections: 0,
             queries_executed: 0,
@@ -747,15 +745,16 @@ impl MySqlServer {
     }
 
     /// Execute a query through caches, producing CPU and disk work.
-    pub fn execute(&mut self, q: Query, now_s: u32) -> DbWork {
+    pub fn execute(&mut self, q: Query, now_s: u32) -> DbWork<'_> {
         self.queries_executed += 1;
+        self.ios.clear();
         // Query cache lookup for SELECTs.
         if self.config.query_cache_bytes > 0 {
             if let Some(key) = q.cache_key() {
                 if let Some(bytes) = self.cache.lookup(key) {
                     return DbWork {
                         cpu_cycles: 25_000.0, // hash + protocol only
-                        ios: Vec::new(),
+                        ios: &[],
                         response_bytes: bytes,
                         rows: 0,
                         query_cache_hit: true,
@@ -764,50 +763,39 @@ impl MySqlServer {
             }
         }
 
-        let result = self.db.execute(q, now_s);
-        let mut ios = Vec::new();
+        let result = &mut self.result;
+        self.db.execute(q, now_s, result);
+        let page_io = |kind| IoRequest {
+            kind,
+            bytes: PAGE_BYTES,
+            sequential: false,
+        };
         for page in &result.pages {
             match self.pool.access(*page, false) {
                 Access::Hit => {}
-                Access::Miss => ios.push(IoRequest {
-                    kind: IoKind::Read,
-                    bytes: PAGE_BYTES,
-                    sequential: false,
-                }),
+                Access::Miss => self.ios.push(page_io(IoKind::Read)),
                 Access::MissDirtyEvict => {
-                    ios.push(IoRequest {
-                        kind: IoKind::Write,
-                        bytes: PAGE_BYTES,
-                        sequential: false,
-                    });
-                    ios.push(IoRequest {
-                        kind: IoKind::Read,
-                        bytes: PAGE_BYTES,
-                        sequential: false,
-                    });
+                    self.ios.push(page_io(IoKind::Write));
+                    self.ios.push(page_io(IoKind::Read));
                 }
             }
         }
         for page in &result.dirty_pages {
             match self.pool.access(*page, true) {
                 Access::Hit | Access::Miss => {}
-                Access::MissDirtyEvict => ios.push(IoRequest {
-                    kind: IoKind::Write,
-                    bytes: PAGE_BYTES,
-                    sequential: false,
-                }),
+                Access::MissDirtyEvict => self.ios.push(page_io(IoKind::Write)),
             }
         }
         if q.is_write() {
-            for t in &result.tables {
-                self.cache.invalidate(*t);
+            for &t in result.tables {
+                self.cache.invalidate(t);
             }
             // Redo/binlog: group-committed; accumulate and flush in
             // `log_flush`, but small synchronous record now.
             self.log_bytes_pending += 300 + result.result_bytes;
             // Synchronous redo + binlog records (fsync'd per commit).
             for _ in 0..2 {
-                ios.push(IoRequest {
+                self.ios.push(IoRequest {
                     kind: IoKind::Write,
                     bytes: 512,
                     sequential: true,
@@ -815,13 +803,13 @@ impl MySqlServer {
             }
         } else if self.config.query_cache_bytes > 0 {
             if let Some(key) = q.cache_key() {
-                self.cache.insert(key, result.result_bytes, &result.tables);
+                self.cache.insert(key, result.result_bytes, result.tables);
             }
         }
 
         DbWork {
             cpu_cycles: result.cpu_cycles,
-            ios,
+            ios: &self.ios,
             response_bytes: result.result_bytes,
             rows: result.rows,
             query_cache_hit: false,
@@ -884,11 +872,12 @@ mod tests {
         assert!(!w.query_cache_hit);
         assert_eq!(w.rows, 5);
         assert!(w.cpu_cycles > 0.0);
+        let bytes = w.response_bytes;
         // Second time: query cache.
         let w2 = s.execute(Query::SelectCategories, 0);
         assert!(w2.query_cache_hit);
         assert!(w2.ios.is_empty());
-        assert_eq!(w2.response_bytes, w.response_bytes);
+        assert_eq!(w2.response_bytes, bytes);
     }
 
     #[test]
@@ -915,7 +904,7 @@ mod tests {
     fn store_bid_mutates_and_invalidates() {
         let mut s = server();
         let q_hist = Query::GetBidHistory { item: ItemId(3) };
-        let before = s.execute(q_hist, 0);
+        let before = s.execute(q_hist, 0).rows;
         let cached = s.execute(q_hist, 0);
         assert!(cached.query_cache_hit);
         let w = s.execute(
@@ -929,7 +918,7 @@ mod tests {
         assert!(w.ios.iter().any(|io| io.kind == IoKind::Write));
         let after = s.execute(q_hist, 0);
         assert!(!after.query_cache_hit, "cache must be invalidated");
-        assert_eq!(after.rows, before.rows + 1, "one more bid in history");
+        assert_eq!(after.rows, before + 1, "one more bid in history");
     }
 
     #[test]

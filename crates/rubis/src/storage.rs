@@ -5,9 +5,9 @@
 //! activity) is a direct consequence of InnoDB's buffer pool and MySQL's
 //! query cache. Both are modelled here at page granularity.
 
+use cloudchar_simcore::IntMap;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// InnoDB default page size.
 pub const PAGE_BYTES: u64 = 16 * 1024;
@@ -70,18 +70,38 @@ pub enum Access {
     MissDirtyEvict,
 }
 
-/// A page-granularity LRU buffer pool with dirty-page tracking.
+/// One buffer-pool frame: a page and its neighbours in recency order.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    page: PageRef,
+    prev: u32,
+    next: u32,
+    dirty: bool,
+}
+
+/// List sentinel and fresh-slot placeholder; its page is never looked up.
+const SENTINEL: Frame = Frame {
+    page: PageRef {
+        table: TableId::Users,
+        page: 0,
+    },
+    prev: 0,
+    next: 0,
+    dirty: false,
+};
+
+/// A page-granularity exact-LRU buffer pool with dirty-page tracking.
+///
+/// Frames live in a slot arena threaded by an intrusive circular
+/// recency list whose sentinel is slot 0 (`next` is the LRU frame,
+/// `prev` the MRU one), plus one page → slot index: every operation is
+/// O(1) and the victim is the page least recently touched, hit or miss.
+/// A newcomer takes its victim's slot, so no free list is needed.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity_pages: usize,
-    /// page → dirty flag
-    resident: HashMap<PageRef, bool>,
-    /// LRU order, most recent at the back. May contain stale entries;
-    /// `pending` counts occurrences so only a page's *last* entry is
-    /// authoritative.
-    lru: VecDeque<PageRef>,
-    /// Occurrences of each page currently in `lru`.
-    pending: HashMap<PageRef, u32>,
+    frames: Vec<Frame>,
+    index: IntMap<PageRef, u32>,
     hits: u64,
     misses: u64,
     dirty_evictions: u64,
@@ -91,11 +111,12 @@ impl BufferPool {
     /// Pool holding `capacity_bytes` of pages (min one page).
     pub fn new(capacity_bytes: u64) -> Self {
         let capacity_pages = (capacity_bytes / PAGE_BYTES).max(1) as usize;
+        let mut frames = Vec::with_capacity(capacity_pages + 1);
+        frames.push(SENTINEL);
         BufferPool {
             capacity_pages,
-            resident: HashMap::with_capacity(capacity_pages),
-            lru: VecDeque::with_capacity(capacity_pages),
-            pending: HashMap::with_capacity(capacity_pages),
+            frames,
+            index: IntMap::with_capacity_and_hasher(capacity_pages, Default::default()),
             hits: 0,
             misses: 0,
             dirty_evictions: 0,
@@ -109,47 +130,44 @@ impl BufferPool {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.index.len()
     }
 
     /// Resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.len() as u64 * PAGE_BYTES
+        self.index.len() as u64 * PAGE_BYTES
     }
 
     /// Access a page; `write` marks it dirty. Returns what happened.
     pub fn access(&mut self, page: PageRef, write: bool) -> Access {
-        match self.resident.entry(page) {
-            Entry::Occupied(mut e) => {
-                if write {
-                    *e.get_mut() = true;
-                }
-                self.hits += 1;
-                self.touch(page);
-                Access::Hit
-            }
-            Entry::Vacant(e) => {
-                e.insert(write);
-                self.misses += 1;
-                self.touch(page);
-                let mut dirty_evicted = false;
-                while self.resident.len() > self.capacity_pages {
-                    if let Some(victim_dirty) = self.evict_lru() {
-                        if victim_dirty {
-                            dirty_evicted = true;
-                            self.dirty_evictions += 1;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                if dirty_evicted {
-                    Access::MissDirtyEvict
-                } else {
-                    Access::Miss
-                }
-            }
+        if let Some(&slot) = self.index.get(&page) {
+            self.hits += 1;
+            self.frames[slot as usize].dirty |= write;
+            self.unlink(slot);
+            self.push_mru(slot);
+            return Access::Hit;
         }
+        self.misses += 1;
+        let mut access = Access::Miss;
+        let slot = if self.index.len() < self.capacity_pages {
+            self.frames.push(SENTINEL);
+            self.frames.len() as u32 - 1
+        } else {
+            let victim = self.frames[0].next;
+            self.unlink(victim);
+            let evicted = self.frames[victim as usize];
+            self.index.remove(&evicted.page);
+            if evicted.dirty {
+                self.dirty_evictions += 1;
+                access = Access::MissDirtyEvict;
+            }
+            victim
+        };
+        self.frames[slot as usize].page = page;
+        self.frames[slot as usize].dirty = write;
+        self.index.insert(page, slot);
+        self.push_mru(slot);
+        access
     }
 
     /// Hit ratio so far (0 when no accesses).
@@ -167,61 +185,45 @@ impl BufferPool {
         (self.hits, self.misses, self.dirty_evictions)
     }
 
-    fn touch(&mut self, page: PageRef) {
-        self.lru.push_back(page);
-        *self.pending.entry(page).or_insert(0) += 1;
-        // Compact the LRU deque when stale entries dominate: keep only
-        // the last occurrence of each resident page.
-        if self.lru.len() > self.capacity_pages.saturating_mul(4).max(64) {
-            let resident = &self.resident;
-            let mut last = HashMap::with_capacity(resident.len());
-            for (i, p) in self.lru.iter().enumerate() {
-                if resident.contains_key(p) {
-                    last.insert(*p, i);
-                }
-            }
-            let mut fresh: Vec<(usize, PageRef)> = last.into_iter().map(|(p, i)| (i, p)).collect();
-            fresh.sort_unstable_by_key(|(i, _)| *i);
-            self.lru = fresh.iter().map(|&(_, p)| p).collect();
-            self.pending = fresh.iter().map(|&(_, p)| (p, 1)).collect();
-        }
+    fn unlink(&mut self, slot: u32) {
+        let Frame { prev, next, .. } = self.frames[slot as usize];
+        self.frames[prev as usize].next = next;
+        self.frames[next as usize].prev = prev;
     }
 
-    /// Evict the least-recently-used resident page. Returns the victim's
-    /// dirty flag, or `None` if nothing is evictable.
-    fn evict_lru(&mut self) -> Option<bool> {
-        while let Some(candidate) = self.lru.pop_front() {
-            let stale = match self.pending.get_mut(&candidate) {
-                Some(n) => {
-                    *n -= 1;
-                    let stale = *n > 0; // fresher occurrence exists later
-                    if *n == 0 {
-                        self.pending.remove(&candidate);
-                    }
-                    stale
-                }
-                None => true,
-            };
-            if stale {
-                continue;
-            }
-            if let Some(dirty) = self.resident.remove(&candidate) {
-                return Some(dirty);
-            }
-        }
-        None
+    fn push_mru(&mut self, slot: u32) {
+        let mru = self.frames[0].prev;
+        self.frames[slot as usize].prev = mru;
+        self.frames[slot as usize].next = 0;
+        self.frames[mru as usize].next = slot;
+        self.frames[0].prev = slot;
     }
 }
 
+/// A cached SELECT result.
+#[derive(Debug)]
+struct CachedResult {
+    bytes: u64,
+    /// Insertion sequence number, the key in `QueryCache::order`.
+    seq: u64,
+    tables: &'static [TableId],
+    /// Sum of `tables`' versions at insert. Versions only grow, so the
+    /// sum is unchanged exactly when every one of them is.
+    stamp: u64,
+}
+
 /// A MySQL-style query cache: SELECT results keyed by query identity,
-/// invalidated wholesale per table on any write to that table.
+/// invalidated wholesale per table on any write to that table. When
+/// full, it evicts in insertion (FIFO) order.
 #[derive(Debug)]
 pub struct QueryCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    /// key → (result bytes, table versions at insert)
-    entries: HashMap<u64, (u64, Vec<(TableId, u64)>)>,
-    versions: HashMap<TableId, u64>,
+    entries: IntMap<u64, CachedResult>,
+    /// Insertion sequence number → key, oldest first.
+    order: BTreeMap<u64, u64>,
+    /// Invalidation count per table, indexed by `TableId as usize`.
+    versions: [u64; TableId::ALL.len()],
     hits: u64,
     misses: u64,
 }
@@ -232,66 +234,71 @@ impl QueryCache {
         QueryCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: HashMap::new(),
-            versions: TableId::ALL.iter().map(|&t| (t, 0)).collect(),
+            entries: IntMap::default(),
+            order: BTreeMap::new(),
+            versions: [0; TableId::ALL.len()],
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Look up a SELECT by key; returns the cached result size if fresh.
-    pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        let fresh = match self.entries.get(&key) {
-            Some((bytes, deps)) => {
-                if deps.iter().all(|(t, v)| self.versions[t] == *v) {
-                    Some(*bytes)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        match fresh {
-            Some(bytes) => {
-                self.hits += 1;
-                Some(bytes)
-            }
-            None => {
-                if let Some((bytes, _)) = self.entries.remove(&key) {
-                    self.used_bytes -= bytes;
-                }
-                self.misses += 1;
-                None
-            }
+    fn stamp(&self, tables: &[TableId]) -> u64 {
+        tables.iter().map(|&t| self.versions[t as usize]).sum()
+    }
+
+    fn remove(&mut self, key: u64) {
+        if let Some(old) = self.entries.remove(&key) {
+            self.order.remove(&old.seq);
+            self.used_bytes -= old.bytes;
         }
     }
 
-    /// Insert a SELECT result of `bytes` depending on `tables`.
-    pub fn insert(&mut self, key: u64, bytes: u64, tables: &[TableId]) {
+    /// Look up a SELECT by key; returns the cached result size if fresh.
+    pub fn lookup(&mut self, key: u64) -> Option<u64> {
+        let fresh = self
+            .entries
+            .get(&key)
+            .filter(|e| self.stamp(e.tables) == e.stamp)
+            .map(|e| e.bytes);
+        if fresh.is_some() {
+            self.hits += 1;
+        } else {
+            self.remove(key);
+            self.misses += 1;
+        }
+        fresh
+    }
+
+    /// Insert a SELECT result of `bytes` depending on `tables`, evicting
+    /// the oldest entries until it fits.
+    pub fn insert(&mut self, key: u64, bytes: u64, tables: &'static [TableId]) {
         if bytes > self.capacity_bytes {
             return;
         }
-        // Random-ish eviction: drop arbitrary entries until it fits.
+        self.remove(key);
         while self.used_bytes + bytes > self.capacity_bytes {
-            let Some((&victim, _)) = self.entries.iter().next() else {
+            let Some((_, &oldest)) = self.order.first_key_value() else {
                 break;
             };
-            if let Some((b, _)) = self.entries.remove(&victim) {
-                self.used_bytes -= b;
-            }
+            self.remove(oldest);
         }
-        let deps = tables.iter().map(|&t| (t, self.versions[&t])).collect();
-        if let Some((old, _)) = self.entries.insert(key, (bytes, deps)) {
-            self.used_bytes -= old;
-        }
+        let seq = self.order.last_key_value().map_or(0, |(&last, _)| last + 1);
+        self.order.insert(seq, key);
+        self.entries.insert(
+            key,
+            CachedResult {
+                bytes,
+                seq,
+                tables,
+                stamp: self.stamp(tables),
+            },
+        );
         self.used_bytes += bytes;
     }
 
     /// Invalidate every cached result that touched `table`.
     pub fn invalidate(&mut self, table: TableId) {
-        // Every table is pre-registered at construction; `or_insert`
-        // keeps this total without a panicking lookup.
-        *self.versions.entry(table).or_insert(0) += 1;
+        self.versions[table as usize] += 1;
     }
 
     /// Bytes of cached results (for memory accounting).
@@ -391,14 +398,26 @@ mod tests {
 
     #[test]
     fn query_cache_respects_capacity() {
+        let items = &[TableId::Items];
         let mut qc = QueryCache::new(1000);
-        qc.insert(1, 600, &[TableId::Items]);
-        qc.insert(2, 600, &[TableId::Items]); // evicts 1 (or refuses)
-        assert!(qc.used_bytes() <= 1000);
-        // Oversized entries are refused outright.
-        qc.insert(3, 5000, &[TableId::Items]);
-        assert!(qc.used_bytes() <= 1000);
+        for key in 1..=3 {
+            qc.insert(key, 300, items);
+        }
+        // A hit does not refresh an entry's place in the FIFO queue.
+        assert_eq!(qc.lookup(1), Some(300));
+        qc.insert(4, 300, items); // evicts 1, the oldest
+        assert_eq!(qc.lookup(1), None);
+        assert_eq!(qc.lookup(2), Some(300));
+        qc.insert(5, 600, items); // evicts 2 and 3
+        assert_eq!(qc.lookup(2), None);
         assert_eq!(qc.lookup(3), None);
+        assert_eq!(qc.lookup(4), Some(300));
+        assert_eq!(qc.lookup(5), Some(600));
+        assert_eq!(qc.used_bytes(), 900);
+        // Oversized entries are refused outright.
+        qc.insert(6, 5000, items);
+        assert_eq!(qc.used_bytes(), 900);
+        assert_eq!(qc.lookup(6), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query};
 use cloudchar_rubis::schema::{DbScale, ItemId, RegionId, UserId};
-use cloudchar_rubis::storage::{BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
+use cloudchar_rubis::storage::{Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
 use cloudchar_rubis::transition::{Mix, NextAction, TransitionTable};
 use cloudchar_rubis::ClientPopulation;
 use cloudchar_rubis::WorkloadMix;
@@ -49,7 +49,65 @@ fn arbitrary_query(seed: (u8, u32, u32, u16)) -> Query {
     }
 }
 
+/// Reference exact LRU: a vector ordered least to most recently
+/// touched, with linear search. Slow and obviously right.
+struct ReferenceLru {
+    capacity: usize,
+    pages: Vec<(PageRef, bool)>,
+    stats: (u64, u64, u64),
+}
+
+impl ReferenceLru {
+    fn new(capacity: usize) -> Self {
+        ReferenceLru {
+            capacity,
+            pages: Vec::new(),
+            stats: (0, 0, 0),
+        }
+    }
+
+    fn access(&mut self, page: PageRef, write: bool) -> Access {
+        if let Some(i) = self.pages.iter().position(|&(p, _)| p == page) {
+            let (_, dirty) = self.pages.remove(i);
+            self.pages.push((page, dirty || write));
+            self.stats.0 += 1;
+            return Access::Hit;
+        }
+        self.stats.1 += 1;
+        self.pages.push((page, write));
+        if self.pages.len() > self.capacity && self.pages.remove(0).1 {
+            self.stats.2 += 1;
+            return Access::MissDirtyEvict;
+        }
+        Access::Miss
+    }
+}
+
+/// Index pages sit at `1 << 40` within a table's page space.
+const INDEX_PAGE_BASE: u64 = 1 << 40;
+
 proptest! {
+    /// The O(1) pool evicts exactly as the reference LRU does: the same
+    /// outcome on every access, the same counters and residency.
+    #[test]
+    fn buffer_pool_matches_reference_lru(
+        accesses in proptest::collection::vec((0usize..3, any::<bool>(), 0u64..24, any::<bool>()), 1..600),
+        cap_pages in 1u64..17,
+    ) {
+        let mut bp = BufferPool::new(cap_pages * PAGE_BYTES);
+        let mut reference = ReferenceLru::new(cap_pages as usize);
+        let tables = [TableId::Items, TableId::Users, TableId::Bids];
+        for &(t, index, page, write) in &accesses {
+            let page = PageRef {
+                table: tables[t],
+                page: if index { INDEX_PAGE_BASE + page } else { page },
+            };
+            prop_assert_eq!(bp.access(page, write), reference.access(page, write));
+            prop_assert_eq!(bp.stats(), reference.stats);
+            prop_assert_eq!(bp.resident_pages(), reference.pages.len());
+        }
+    }
+
     /// Buffer pool never exceeds capacity and accounts every access.
     #[test]
     fn buffer_pool_invariants(
@@ -78,7 +136,7 @@ proptest! {
             let p = PageRef { table: TableId::Bids, page };
             bp.access(p, false);
             let second = bp.access(p, false);
-            prop_assert_eq!(second, cloudchar_rubis::storage::Access::Hit);
+            prop_assert_eq!(second, Access::Hit);
         }
     }
 

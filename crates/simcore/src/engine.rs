@@ -12,9 +12,9 @@
 //! [`crate::queue`] for the ordering contract and the equivalence tests
 //! that pin it.
 
+use crate::hash::IntSet;
 use crate::queue::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashSet;
 
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,7 +33,7 @@ pub struct Engine<W> {
     now: SimTime,
     seq: u64,
     queue: CalendarQueue<Action<W>>,
-    cancelled: HashSet<u64>,
+    cancelled: IntSet<u64>,
     executed: u64,
     /// Hard cap on executed events; guards against runaway feedback loops.
     event_limit: u64,
@@ -52,7 +52,7 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             queue: CalendarQueue::new(),
-            cancelled: HashSet::new(),
+            cancelled: IntSet::default(),
             executed: 0,
             event_limit: 1_000_000_000,
         }

@@ -4,7 +4,7 @@
 //! `cloudchar` testbed — the reproduction of *"Characterizing Workload of
 //! Web Applications on Virtualized Servers"* (Wang et al.).
 //!
-//! The crate provides eleven building blocks:
+//! The crate provides twelve building blocks:
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`],
 //!   [`SimDuration`]);
@@ -22,7 +22,9 @@
 //! * [`shard`] — conservative parallel execution over per-host event
 //!   queues ([`ShardedEngine`]);
 //! * [`fault`] — deterministic fault-injection schedules ([`FaultPlan`]);
-//! * [`stats`] — streaming accumulators ([`Welford`], [`Counter`], …).
+//! * [`stats`] — streaming accumulators ([`Welford`], [`Counter`], …);
+//! * [`hash`] — a seedless integer hasher for hot id-keyed maps
+//!   ([`IntMap`], [`IntSet`]).
 //!
 //! Everything is deterministic: a `(seed, configuration)` pair fully
 //! determines a simulation run, which the higher layers rely on when
@@ -53,6 +55,7 @@ pub mod bits;
 pub mod dist;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -65,6 +68,7 @@ pub use bits::{BitReader, BitWriter};
 pub use dist::{Dist, Sample};
 pub use engine::{Engine, EventId};
 pub use fault::{FaultEvent, FaultKind, FaultPhase, FaultPlan, FaultTier};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use queue::CalendarQueue;
 pub use rng::SimRng;
 pub use shard::{RunMode, ShardCtx, ShardId, ShardLogic, ShardStats, ShardedEngine, Topology};

@@ -109,6 +109,22 @@ fn replay_is_byte_identical_across_all_tiers() {
 }
 
 #[test]
+fn query_cache_eviction_is_replayable() {
+    // A 64 KiB query cache fills within seconds, so the run depends on
+    // which entry each insert evicts. The victim must follow from the
+    // run itself, never from the process's hash seed.
+    let run_once = || {
+        let mut c = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
+        c.mysql.query_cache_bytes = 64 * 1024;
+        run(c)
+    };
+    let a = run_once();
+    let b = run_once();
+    assert_eq!(a.completed, b.completed);
+    assert_eq!(fingerprint(&a), fingerprint(&b));
+}
+
+#[test]
 fn golden_replay_fingerprint_unchanged() {
     // Golden hashes recorded from the pre-calendar-queue (`BinaryHeap`)
     // engine at seed 777 / 70% browsing, one per deployment. They pin the
