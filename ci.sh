@@ -20,6 +20,9 @@ cargo test -q -p cloudchar-core --test scenarios
 echo "==> repro sweep smoke (--sweep 2 --jobs 2)"
 cargo run --release -p cloudchar-bench --bin repro -- --fast ratios --sweep 2 --jobs 2 > /dev/null
 
+echo "==> repro audit of the fault scenarios (exits 1 on any invariant violation)"
+cargo run --release -p cloudchar-bench --bin repro -- --audit --fast scenarios > /dev/null
+
 echo "==> repro fault-plan round-trip smoke"
 cargo run --release -p cloudchar-bench --bin repro -- fault-roundtrip > /dev/null
 

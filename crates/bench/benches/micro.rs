@@ -47,7 +47,11 @@ fn bench_scheduler(c: &mut Criterion) {
                 core_secs: 0.02,
             })
             .collect();
-        b.iter(|| black_box(sched.allocate(0.01, &demands)))
+        let mut out = Vec::new();
+        b.iter(|| {
+            sched.allocate_into(0.01, &demands, &mut out);
+            black_box(out.len())
+        })
     });
 }
 

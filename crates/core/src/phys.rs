@@ -50,6 +50,8 @@ struct TierHost {
     /// Fault injection: CPU budget cap in percent of one core, the
     /// physical analog of a credit-scheduler cap (`None` = uncapped).
     cap_percent: Option<u32>,
+    /// Completed tokens of one quantum, reused across ticks.
+    done: Vec<WorkToken>,
 }
 
 impl TierHost {
@@ -65,6 +67,7 @@ impl TierHost {
             last_flush: SimTime::ZERO,
             up: true,
             cap_percent: None,
+            done: Vec::new(),
         }
     }
 }
@@ -141,8 +144,7 @@ impl PhysPlatform {
             if kernel_part > 0.0 {
                 host.server.cycles.add(kernel_part.round() as u64);
             }
-            let mut done = Vec::new();
-            let executed = host.work.drain(budget - kernel_part, &mut done);
+            let executed = host.work.drain(budget - kernel_part, &mut host.done);
             if executed > 0.0 {
                 host.server.cycles.add(executed.round() as u64);
                 host.server.kernel.context_switches.add(
@@ -150,7 +152,7 @@ impl PhysPlatform {
                 );
                 host.server.kernel.interrupts.add(2); // timer ticks
             }
-            out.extend(done.into_iter().map(|t| (tier, t)));
+            out.extend(host.done.drain(..).map(|t| (tier, t)));
         }
     }
 

@@ -129,8 +129,8 @@ impl VirtPlatform {
             let hz = self.hv.host.spec().cpu.hz as f64;
             let cpu_demand = self.background_util * hz * dt.as_secs_f64();
             let io_prob = self.background_iops * dt.as_secs_f64();
-            let doms: Vec<DomId> = self.background.clone();
-            for dom in doms {
+            for i in 0..self.background.len() {
+                let dom = self.background[i];
                 if self.background_util > 0.0 {
                     self.hv.domain_mut(dom).add_overhead_cycles(cpu_demand);
                 }

@@ -120,6 +120,9 @@ pub struct Domain {
     pub run_ns: Counter,
     /// Cumulative nanoseconds runnable-but-not-running (steal time).
     pub steal_ns: Counter,
+    /// Crashed (fault injection): excluded from scheduling until
+    /// restarted.
+    pub(crate) down: bool,
 }
 
 impl Domain {
@@ -138,6 +141,7 @@ impl Domain {
             virt_cycles: Counter::new(),
             run_ns: Counter::new(),
             steal_ns: Counter::new(),
+            down: false,
         }
     }
 

@@ -20,14 +20,13 @@
 
 use crate::domain::{DomId, Domain, DomainConfig};
 use crate::overhead::OverheadModel;
-use crate::sched::{CreditScheduler, Demand, SchedParams};
+use crate::sched::{Allocation, CreditScheduler, Demand, SchedParams};
 use cloudchar_hw::memory::Bytes;
 use cloudchar_hw::server::{PhysicalServer, ServerSpec};
 use cloudchar_hw::{IoKind, IoRequest, WorkToken};
 use cloudchar_simcore::audit;
 use cloudchar_simcore::stats::Counter;
 use cloudchar_simcore::{SimDuration, SimRng, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Direction of external guest traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,9 @@ pub struct Completion {
 pub struct Hypervisor {
     /// The physical machine under the hypervisor.
     pub host: PhysicalServer,
-    domains: BTreeMap<DomId, Domain>,
+    /// Domains indexed by `DomId.0`: ids are handed out densely by
+    /// `next_dom` and never removed, so dom0 sits at index 0.
+    domains: Vec<Domain>,
     sched: CreditScheduler,
     /// Cost parameters.
     pub overhead: OverheadModel,
@@ -66,12 +67,13 @@ pub struct Hypervisor {
     /// which dom0's own sar sees on its vif backend interfaces.
     bridge_bytes: Counter,
     quantum: SimDuration,
-    /// Crashed domains (fault injection): excluded from scheduling until
-    /// restarted.
-    down: BTreeSet<DomId>,
     /// Extra dom0 housekeeping load, as a fraction of one core
     /// (credit-starvation fault; 0.0 = healthy).
     starve_core_util: f64,
+    /// Per-quantum buffers reused by [`Hypervisor::quantum_tick`].
+    demands: Vec<Demand>,
+    allocations: Vec<Allocation>,
+    tokens: Vec<WorkToken>,
 }
 
 impl Hypervisor {
@@ -90,15 +92,13 @@ impl Hypervisor {
                 vcpus: dom0_cfg.vcpus,
             },
         );
-        let mut domains = BTreeMap::new();
         let mut dom0 = Domain::new(DomId::DOM0, dom0_cfg);
         // Dom0 kernel + daemons baseline resident set.
         dom0.memory
             .set_component("dom0-base", 650 * cloudchar_hw::MIB);
-        domains.insert(DomId::DOM0, dom0);
         Hypervisor {
             host,
-            domains,
+            domains: vec![dom0],
             sched,
             overhead,
             rng,
@@ -106,8 +106,10 @@ impl Hypervisor {
             hv_cycles: Counter::new(),
             bridge_bytes: Counter::new(),
             quantum: SimDuration::from_millis(10),
-            down: BTreeSet::new(),
             starve_core_util: 0.0,
+            demands: Vec::new(),
+            allocations: Vec::new(),
+            tokens: Vec::new(),
         }
     }
 
@@ -128,23 +130,31 @@ impl Hypervisor {
                 vcpus: config.vcpus,
             },
         );
-        self.domains.insert(id, Domain::new(id, config));
+        self.domains.push(Domain::new(id, config));
         id
     }
 
     /// Immutable access to a domain.
     pub fn domain(&self, id: DomId) -> &Domain {
-        &self.domains[&id]
+        self.domains
+            .get(id.0 as usize)
+            .unwrap_or_else(|| panic!("unknown domain {id:?}"))
     }
 
     /// Mutable access to a domain.
     pub fn domain_mut(&mut self, id: DomId) -> &mut Domain {
-        self.domains.get_mut(&id).expect("unknown domain")
+        self.domains
+            .get_mut(id.0 as usize)
+            .unwrap_or_else(|| panic!("unknown domain {id:?}"))
+    }
+
+    fn dom0_mut(&mut self) -> &mut Domain {
+        &mut self.domains[0]
     }
 
     /// All domain ids, dom0 first.
     pub fn domain_ids(&self) -> Vec<DomId> {
-        self.domains.keys().copied().collect()
+        self.domains.iter().map(|d| d.id).collect()
     }
 
     /// Cycles executed in hypervisor context so far.
@@ -164,7 +174,7 @@ impl Hypervisor {
 
     /// Whether a domain is currently crashed (fault injection).
     pub fn is_down(&self, dom: DomId) -> bool {
-        self.down.contains(&dom)
+        self.domains.get(dom.0 as usize).is_some_and(|d| d.down)
     }
 
     /// Crash a guest domain (fault injection): it stops receiving CPU
@@ -174,11 +184,10 @@ impl Hypervisor {
     /// to. Dom0 cannot crash (the host would be gone with it).
     pub fn crash_domain(&mut self, dom: DomId) -> Vec<WorkToken> {
         assert!(!dom.is_dom0(), "dom0 cannot be crash-injected");
-        let d = self.domains.get_mut(&dom).expect("unknown domain");
+        let d = self.domain_mut(dom);
         d.overhead_cycles = 0.0;
-        let dropped = d.work.clear();
-        self.down.insert(dom);
-        dropped
+        d.down = true;
+        d.work.clear()
     }
 
     /// Restart a crashed domain. It rejoins scheduling immediately but is
@@ -190,14 +199,11 @@ impl Hypervisor {
             boot_delay_s.is_finite() && boot_delay_s >= 0.0,
             "invalid boot delay: {boot_delay_s}"
         );
-        if !self.down.remove(&dom) {
-            return;
-        }
         let hz = self.host.spec().cpu.hz as f64;
-        self.domains
-            .get_mut(&dom)
-            .expect("unknown domain")
-            .add_overhead_cycles(boot_delay_s * hz);
+        if let Some(d) = self.domains.get_mut(dom.0 as usize).filter(|d| d.down) {
+            d.down = false;
+            d.add_overhead_cycles(boot_delay_s * hz);
+        }
     }
 
     /// Change a domain's credit-scheduler cap at runtime (fault
@@ -223,11 +229,7 @@ impl Hypervisor {
     /// PV inflation factor before queueing.
     pub fn submit_guest_work(&mut self, dom: DomId, token: WorkToken, cycles: f64) {
         let inflated = cycles * self.overhead.guest_cpu_inflation;
-        self.domains
-            .get_mut(&dom)
-            .expect("unknown domain")
-            .work
-            .push(token, inflated);
+        self.domain_mut(dom).work.push(token, inflated);
     }
 
     /// Run one scheduling quantum of length `dt`. Completed application
@@ -254,34 +256,29 @@ impl Hypervisor {
         // into credit the guests no longer receive.
         let dom0_base =
             self.overhead.dom0_cycles_per_sec * dt_secs + self.starve_core_util * hz * dt_secs;
-        self.domains
-            .get_mut(&DomId::DOM0)
-            .expect("dom0 is registered")
-            .add_overhead_cycles(dom0_base);
+        self.dom0_mut().add_overhead_cycles(dom0_base);
 
-        // 3. Collect demands (core-seconds). Crashed domains hold no
-        // VCPUs and are skipped entirely.
-        let demands: Vec<Demand> = self
-            .domains
-            .iter()
-            .filter(|(id, _)| !self.down.contains(id))
-            .map(|(&id, d)| Demand {
-                dom: id,
+        // 3. Collect demands (core-seconds) in id order, as the
+        // scheduler requires. Crashed domains hold no VCPUs and are
+        // skipped entirely.
+        self.demands.clear();
+        self.demands
+            .extend(self.domains.iter().filter(|d| !d.down).map(|d| Demand {
+                dom: d.id,
                 core_secs: d.demand_cycles() / hz,
-            })
-            .collect();
+            }));
 
         // 4. Allocate and execute.
-        let allocations = self.sched.allocate(dt_secs, &demands);
+        self.sched
+            .allocate_into(dt_secs, &self.demands, &mut self.allocations);
         let mut executed_cycles_total = 0.0;
-        for alloc in allocations {
+        for alloc in &self.allocations {
             if alloc.core_secs <= 0.0 && alloc.starved_core_secs <= 0.0 {
                 continue;
             }
-            let dom = self.domains.get_mut(&alloc.dom).expect("unknown domain");
+            let dom = &mut self.domains[alloc.dom.0 as usize];
             let budget_cycles = alloc.core_secs * hz;
-            let mut tokens = Vec::new();
-            let executed = dom.execute(budget_cycles, &mut tokens);
+            let executed = dom.execute(budget_cycles, &mut self.tokens);
             // Guest sysstat over-reports cycle usage (steal-time
             // misattribution); dom0's accounting is physical.
             if !alloc.dom.is_dom0() {
@@ -300,7 +297,7 @@ impl Hypervisor {
             }
             self.host.cycles.add(executed.round() as u64);
             executed_cycles_total += executed;
-            completions.extend(tokens.into_iter().map(|token| Completion {
+            completions.extend(self.tokens.drain(..).map(|token| Completion {
                 dom: alloc.dom,
                 token,
             }));
@@ -328,11 +325,7 @@ impl Hypervisor {
 
     fn vif_accounting_phantom(&mut self, dom: DomId, bytes: Bytes) {
         let phantom = bytes as f64 * self.overhead.guest_accounting_cycles_per_vif_byte;
-        self.domains
-            .get_mut(&dom)
-            .expect("unknown domain")
-            .virt_cycles
-            .add(phantom.round() as u64);
+        self.domain_mut(dom).virt_cycles.add(phantom.round() as u64);
     }
 
     /// Guest disk I/O through the split block driver. Returns the
@@ -342,17 +335,14 @@ impl Hypervisor {
         assert!(!dom.is_dom0(), "dom0 uses host_disk_io");
         // Frontend accounting + a little guest-side driver work.
         {
-            let d = self.domains.get_mut(&dom).expect("unknown domain");
+            let d = self.domain_mut(dom);
             d.record_vbd(matches!(req.kind, IoKind::Read), req.bytes);
             d.add_overhead_cycles(5_000.0 + 0.05 * req.bytes as f64);
             d.kernel.interrupts.add(1);
         }
         // Backend (dom0) CPU work.
         let backend = self.overhead.disk_backend_cycles(req.bytes);
-        let dom0 = self
-            .domains
-            .get_mut(&DomId::DOM0)
-            .expect("dom0 is registered");
+        let dom0 = self.dom0_mut();
         dom0.add_overhead_cycles(backend);
         dom0.kernel.interrupts.add(1);
         dom0.kernel.context_switches.add(1);
@@ -404,13 +394,10 @@ impl Hypervisor {
     pub fn guest_net_ingress(&mut self, now: SimTime, dom: DomId, bytes: Bytes) -> SimTime {
         self.host.nic.receive(bytes);
         let backend = self.overhead.net_backend_cycles(bytes);
-        let dom0 = self
-            .domains
-            .get_mut(&DomId::DOM0)
-            .expect("dom0 is registered");
+        let dom0 = self.dom0_mut();
         dom0.add_overhead_cycles(backend);
         dom0.kernel.interrupts.add(bytes.div_ceil(1448).max(1));
-        let d = self.domains.get_mut(&dom).expect("unknown domain");
+        let d = self.domain_mut(dom);
         d.record_vif(true, bytes);
         d.add_overhead_cycles(2_000.0 + 0.1 * bytes as f64);
         self.vif_accounting_phantom(dom, bytes);
@@ -423,16 +410,13 @@ impl Hypervisor {
     /// physical NIC. Returns delivery time at the external destination.
     pub fn guest_net_egress(&mut self, now: SimTime, dom: DomId, bytes: Bytes) -> SimTime {
         {
-            let d = self.domains.get_mut(&dom).expect("unknown domain");
+            let d = self.domain_mut(dom);
             d.record_vif(false, bytes);
             d.add_overhead_cycles(2_000.0 + 0.1 * bytes as f64);
         }
         self.vif_accounting_phantom(dom, bytes);
         let backend = self.overhead.net_backend_cycles(bytes);
-        let dom0 = self
-            .domains
-            .get_mut(&DomId::DOM0)
-            .expect("dom0 is registered");
+        let dom0 = self.dom0_mut();
         dom0.add_overhead_cycles(backend);
         dom0.kernel.interrupts.add(bytes.div_ceil(1448).max(1));
         let bridge = SimDuration::from_secs_f64(self.overhead.bridge_latency_s);
@@ -449,12 +433,12 @@ impl Hypervisor {
         bytes: Bytes,
     ) -> SimTime {
         {
-            let src = self.domains.get_mut(&from).expect("unknown src domain");
+            let src = self.domain_mut(from);
             src.record_vif(false, bytes);
             src.add_overhead_cycles(2_000.0 + 0.1 * bytes as f64);
         }
         {
-            let dst = self.domains.get_mut(&to).expect("unknown dst domain");
+            let dst = self.domain_mut(to);
             dst.record_vif(true, bytes);
             dst.add_overhead_cycles(2_000.0 + 0.1 * bytes as f64);
         }
@@ -464,10 +448,7 @@ impl Hypervisor {
         // (receive from one vif, transmit into the other).
         let backend = 2.0 * self.overhead.net_backend_cycles(bytes);
         self.bridge_bytes.add(bytes);
-        let dom0 = self
-            .domains
-            .get_mut(&DomId::DOM0)
-            .expect("dom0 is registered");
+        let dom0 = self.dom0_mut();
         dom0.add_overhead_cycles(backend);
         dom0.kernel.context_switches.add(2);
         now + SimDuration::from_secs_f64(
@@ -481,19 +462,15 @@ impl Hypervisor {
     pub fn balloon(&mut self, dom: DomId, target: Bytes) -> Bytes {
         assert!(!dom.is_dom0(), "dom0 memory is not ballooned");
         // Balloon operations cost dom0 a little backend work.
-        let d = self.domains.get_mut(&dom).expect("unknown domain");
-        let applied = d.memory.balloon_to(target);
-        self.domains
-            .get_mut(&DomId::DOM0)
-            .expect("dom0 is registered")
-            .add_overhead_cycles(500_000.0);
+        let applied = self.domain_mut(dom).memory.balloon_to(target);
+        self.dom0_mut().add_overhead_cycles(500_000.0);
         applied
     }
 
     /// Physical CPU cycles a perf session in dom0 would have observed:
     /// dom0's own cycles plus hypervisor-context cycles.
     pub fn dom0_visible_physical_cycles(&self) -> u64 {
-        self.domains[&DomId::DOM0].virt_cycles.total() + self.hv_cycles.total()
+        self.domains[0].virt_cycles.total() + self.hv_cycles.total()
     }
 }
 

@@ -17,7 +17,6 @@
 use crate::domain::DomId;
 use cloudchar_simcore::audit;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-domain scheduling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,13 +56,31 @@ struct DomState {
     credits: f64,
 }
 
+/// Per-quantum working buffers of [`CreditScheduler::allocate_into`],
+/// kept across quanta so the steady state allocates nothing. The first
+/// three run parallel to the demand list.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Effective ceiling: demand ∧ vcpus·dt ∧ cap·dt.
+    ceiling: Vec<f64>,
+    /// Scheduling weight.
+    weight: Vec<f64>,
+    /// Core-seconds granted so far this quantum.
+    granted: Vec<f64>,
+    /// Demand indices still being water-filled in the current class.
+    class: Vec<usize>,
+}
+
 /// The credit scheduler.
 #[derive(Debug, Clone)]
 pub struct CreditScheduler {
     physical_cores: u32,
-    doms: BTreeMap<DomId, DomState>,
+    /// Per-domain state indexed by `DomId.0`; `None` marks an id that
+    /// was never registered or has been removed.
+    doms: Vec<Option<DomState>>,
     /// Credit period in seconds (Xen: 30 ms).
     period_secs: f64,
+    scratch: Scratch,
 }
 
 impl CreditScheduler {
@@ -72,134 +89,168 @@ impl CreditScheduler {
         assert!(physical_cores > 0);
         CreditScheduler {
             physical_cores,
-            doms: BTreeMap::new(),
+            doms: Vec::new(),
             period_secs: 0.030,
+            scratch: Scratch::default(),
         }
+    }
+
+    fn state(&self, dom: DomId) -> Option<&DomState> {
+        self.doms.get(dom.0 as usize).and_then(Option::as_ref)
+    }
+
+    fn state_mut(&mut self, dom: DomId) -> &mut DomState {
+        self.doms
+            .get_mut(dom.0 as usize)
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("unregistered domain {dom:?}"))
     }
 
     /// Register a domain.
     pub fn add_domain(&mut self, dom: DomId, params: SchedParams) {
         assert!(params.weight > 0, "weight must be positive");
         assert!(params.vcpus > 0, "vcpus must be positive");
-        self.doms.insert(
-            dom,
-            DomState {
-                params,
-                credits: 0.0,
-            },
-        );
+        let i = dom.0 as usize;
+        if i >= self.doms.len() {
+            self.doms.resize(i + 1, None);
+        }
+        self.doms[i] = Some(DomState {
+            params,
+            credits: 0.0,
+        });
     }
 
     /// Remove a domain (e.g. VM destroyed).
     pub fn remove_domain(&mut self, dom: DomId) {
-        self.doms.remove(&dom);
+        if let Some(slot) = self.doms.get_mut(dom.0 as usize) {
+            *slot = None;
+        }
     }
 
     /// Change a registered domain's cap at runtime (the model of
     /// `xm sched-credit -c`, used by fault injection). Returns the
     /// previous cap. Panics on an unregistered domain.
     pub fn set_cap(&mut self, dom: DomId, cap_percent: Option<u32>) -> Option<u32> {
-        let st = self
-            .doms
-            .get_mut(&dom)
-            .unwrap_or_else(|| panic!("unregistered domain {dom:?}"));
-        std::mem::replace(&mut st.params.cap_percent, cap_percent)
+        std::mem::replace(&mut self.state_mut(dom).params.cap_percent, cap_percent)
     }
 
     /// Registered domains, in id order.
     pub fn domains(&self) -> impl Iterator<Item = DomId> + '_ {
-        self.doms.keys().copied()
+        self.doms
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| st.is_some())
+            .map(|(i, _)| DomId(i as u32))
     }
 
     /// Current credit balance of a domain (core-seconds).
     pub fn credits(&self, dom: DomId) -> Option<f64> {
-        self.doms.get(&dom).map(|d| d.credits)
+        self.state(dom).map(|d| d.credits)
+    }
+
+    /// Allocate physical core-time for one quantum of length `dt_secs`;
+    /// a convenience wrapper around [`CreditScheduler::allocate_into`].
+    pub fn allocate(&mut self, dt_secs: f64, demands: &[Demand]) -> Vec<Allocation> {
+        let mut out = Vec::with_capacity(demands.len());
+        self.allocate_into(dt_secs, demands, &mut out);
+        out
     }
 
     /// Allocate physical core-time for one quantum of length `dt_secs`.
     ///
-    /// `demands` lists runnable domains with their core-second demands;
-    /// domains not listed are idle. Returns one [`Allocation`] per
-    /// demanding domain (same order). Idle capacity is simply unused.
-    pub fn allocate(&mut self, dt_secs: f64, demands: &[Demand]) -> Vec<Allocation> {
+    /// `demands` lists runnable domains with their core-second demands,
+    /// unique and in ascending id order; domains not listed are idle.
+    /// `out` is overwritten with one [`Allocation`] per demanding domain
+    /// (same order). Idle capacity is simply unused.
+    ///
+    /// Every floating-point sum runs in domain-id order, so results are
+    /// bit-identical however the caller's buffers were reused.
+    pub fn allocate_into(&mut self, dt_secs: f64, demands: &[Demand], out: &mut Vec<Allocation>) {
         assert!(dt_secs > 0.0 && dt_secs.is_finite());
+        assert!(
+            demands.windows(2).all(|w| w[0].dom < w[1].dom),
+            "demands must be unique and sorted by domain id"
+        );
         // 1. Refill credits in proportion to weight, scaled to quantum
         //    length; clamp to ±1 period of full-machine capacity.
         let capacity = self.physical_cores as f64 * dt_secs;
-        let total_weight: f64 = self.doms.values().map(|d| f64::from(d.params.weight)).sum();
+        let total_weight: f64 = self
+            .doms
+            .iter()
+            .flatten()
+            .map(|d| f64::from(d.params.weight))
+            .sum();
         if total_weight > 0.0 {
             let clamp = self.physical_cores as f64 * self.period_secs;
-            for st in self.doms.values_mut() {
+            for st in self.doms.iter_mut().flatten() {
                 st.credits += capacity * f64::from(st.params.weight) / total_weight;
                 st.credits = st.credits.clamp(-clamp, clamp);
             }
         }
 
         // 2. Effective per-domain ceiling: demand ∧ vcpus·dt ∧ cap·dt.
-        let mut ceilings: Vec<(DomId, f64)> = demands
-            .iter()
-            .map(|d| {
-                let st = self
-                    .doms
-                    .get(&d.dom)
-                    .unwrap_or_else(|| panic!("unregistered domain {:?}", d.dom));
-                let mut ceil = d.core_secs.max(0.0);
-                ceil = ceil.min(f64::from(st.params.vcpus) * dt_secs);
-                if let Some(cap) = st.params.cap_percent {
-                    ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
-                }
-                (d.dom, ceil)
-            })
-            .collect();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            ceiling,
+            weight,
+            granted,
+            class,
+        } = &mut scratch;
+        ceiling.clear();
+        weight.clear();
+        granted.clear();
+        for d in demands {
+            let st = self
+                .state(d.dom)
+                .unwrap_or_else(|| panic!("unregistered domain {:?}", d.dom));
+            let mut ceil = d.core_secs.max(0.0);
+            ceil = ceil.min(f64::from(st.params.vcpus) * dt_secs);
+            if let Some(cap) = st.params.cap_percent {
+                ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
+            }
+            ceiling.push(ceil);
+            weight.push(f64::from(st.params.weight));
+            granted.push(0.0);
+        }
 
-        // 3. Two-class weighted water-filling.
-        let mut granted: BTreeMap<DomId, f64> = ceilings.iter().map(|(d, _)| (*d, 0.0)).collect();
+        // 3. Two-class weighted water-filling, in demand order. A
+        //    domain's class is fixed for the quantum (credits move only
+        //    in steps 1 and 4), so each demand is granted at most once.
         let mut remaining = capacity;
         for under_class in [true, false] {
             if remaining <= 1e-15 {
                 break;
             }
-            let mut class: Vec<&mut (DomId, f64)> = ceilings
-                .iter_mut()
-                .filter(|(d, ceil)| *ceil > 1e-15 && (self.doms[d].credits >= 0.0) == under_class)
-                .collect();
+            class.clear();
+            class.extend((0..demands.len()).filter(|&i| {
+                let under = self
+                    .state(demands[i].dom)
+                    .is_some_and(|st| st.credits >= 0.0);
+                ceiling[i] > 1e-15 && under == under_class
+            }));
             // Water-fill within the class.
             while !class.is_empty() && remaining > 1e-15 {
-                let wsum: f64 = class
-                    .iter()
-                    .map(|(d, _)| f64::from(self.doms[d].params.weight))
-                    .sum();
+                let wsum: f64 = class.iter().map(|&i| weight[i]).sum();
                 // Find domains whose fair share covers their ceiling.
                 let mut saturated = false;
-                class.retain_mut(|entry| {
-                    let (d, ceil) = (entry.0, entry.1);
-                    let share = remaining * f64::from(self.doms[&d].params.weight) / wsum;
-                    if share >= ceil {
-                        if let Some(g) = granted.get_mut(&d) {
-                            *g += ceil;
-                        }
-                        entry.1 = 0.0;
+                class.retain(|&i| {
+                    let share = remaining * weight[i] / wsum;
+                    if share >= ceiling[i] {
+                        granted[i] = ceiling[i];
                         saturated = true;
                         false
                     } else {
                         true
                     }
                 });
-                // Deduct what saturated domains took.
-                let taken: f64 = granted.values().sum::<f64>();
+                // Deduct what saturated domains took (summed in id order).
+                let taken: f64 = granted.iter().sum();
                 remaining = capacity - taken;
                 if !saturated {
                     // No one saturates: give proportional shares and stop.
-                    let wsum: f64 = class
-                        .iter()
-                        .map(|(d, _)| f64::from(self.doms[d].params.weight))
-                        .sum();
-                    for entry in &mut class {
-                        let share = remaining * f64::from(self.doms[&entry.0].params.weight) / wsum;
-                        if let Some(g) = granted.get_mut(&entry.0) {
-                            *g += share;
-                        }
-                        entry.1 -= share;
+                    let wsum: f64 = class.iter().map(|&i| weight[i]).sum();
+                    for &i in class.iter() {
+                        granted[i] = remaining * weight[i] / wsum;
                     }
                     remaining = 0.0;
                     break;
@@ -208,30 +259,26 @@ impl CreditScheduler {
         }
 
         // 4. Debit credits and produce allocations.
-        let allocations: Vec<Allocation> = demands
-            .iter()
-            .map(|d| {
-                let got = granted.get(&d.dom).copied().unwrap_or(0.0);
-                if let Some(st) = self.doms.get_mut(&d.dom) {
-                    st.credits -= got;
-                }
-                Allocation {
-                    dom: d.dom,
-                    core_secs: got,
-                    starved_core_secs: (d.core_secs.max(0.0) - got).max(0.0),
-                }
-            })
-            .collect();
+        out.clear();
+        for (d, &got) in demands.iter().zip(granted.iter()) {
+            self.state_mut(d.dom).credits -= got;
+            out.push(Allocation {
+                dom: d.dom,
+                core_secs: got,
+                starved_core_secs: (d.core_secs.max(0.0) - got).max(0.0),
+            });
+        }
+        self.scratch = scratch;
 
         if audit::is_enabled() {
-            let total: f64 = allocations.iter().map(|a| a.core_secs).sum();
+            let total: f64 = out.iter().map(|a| a.core_secs).sum();
             audit::check(
                 "xen.sched.capacity",
                 0,
                 total <= capacity * (1.0 + 1e-9) + 1e-12,
                 || format!("granted {total} core-s exceeds capacity {capacity} core-s"),
             );
-            for a in &allocations {
+            for a in out.iter() {
                 audit::check(
                     "xen.sched.allocation_nonnegative",
                     0,
@@ -247,16 +294,22 @@ impl CreditScheduler {
                     },
                 );
             }
-            for (dom, st) in &self.doms {
+            for (id, st) in self.doms.iter().enumerate() {
+                let Some(st) = st else { continue };
                 audit::check(
                     "xen.sched.credits_finite",
                     0,
                     st.credits.is_finite(),
-                    || format!("domain {dom:?} credit balance is {}", st.credits),
+                    || {
+                        format!(
+                            "domain {:?} credit balance is {}",
+                            DomId(id as u32),
+                            st.credits
+                        )
+                    },
                 );
             }
         }
-        allocations
     }
 }
 
@@ -421,6 +474,22 @@ mod tests {
     fn empty_demand_list_is_fine() {
         let mut s = sched(4, &[(1, 256, None, 2)]);
         assert!(s.allocate(0.01, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "unique and sorted")]
+    fn duplicate_demands_panic() {
+        // Two demands for one domain used to merge into one grant that
+        // both reported, over-allocating and debiting credits twice.
+        let mut s = sched(1, &[(0, 256, None, 2)]);
+        s.allocate(0.01, &[demand(0, 0.008), demand(0, 0.008)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unique and sorted")]
+    fn unsorted_demands_panic() {
+        let mut s = sched(1, &[(1, 256, None, 2), (2, 256, None, 2)]);
+        s.allocate(0.01, &[demand(2, 0.005), demand(1, 0.005)]);
     }
 
     #[test]

@@ -1,12 +1,126 @@
-//! Property-based tests for the Xen substrate: scheduler conservation
-//! and hypervisor accounting invariants.
+//! Property-based tests for the Xen substrate: scheduler conservation,
+//! bit-exact agreement with a reference credit scheduler, and
+//! hypervisor accounting invariants.
 
 use cloudchar_hw::{IoKind, IoRequest, ServerSpec, WorkToken};
 use cloudchar_simcore::{SimDuration, SimRng, SimTime};
 use cloudchar_xen::{
-    CreditScheduler, Demand, DomId, DomainConfig, Hypervisor, OverheadModel, SchedParams,
+    Allocation, CreditScheduler, Demand, DomId, DomainConfig, Hypervisor, OverheadModel,
+    SchedParams,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The map-based credit scheduler the dense one replaced: per-domain
+/// state and per-quantum grants in `BTreeMap`s, fresh buffers every
+/// quantum. It is the reference the dense scheduler must match bit for
+/// bit (same weights, same clamping, same water-filling order).
+struct RefScheduler {
+    physical_cores: u32,
+    doms: BTreeMap<DomId, (SchedParams, f64)>,
+    period_secs: f64,
+}
+
+impl RefScheduler {
+    fn new(physical_cores: u32) -> Self {
+        RefScheduler {
+            physical_cores,
+            doms: BTreeMap::new(),
+            period_secs: 0.030,
+        }
+    }
+
+    fn add_domain(&mut self, dom: DomId, params: SchedParams) {
+        self.doms.insert(dom, (params, 0.0));
+    }
+
+    fn set_cap(&mut self, dom: DomId, cap_percent: Option<u32>) {
+        self.doms.get_mut(&dom).expect("registered").0.cap_percent = cap_percent;
+    }
+
+    fn credits(&self, dom: DomId) -> f64 {
+        self.doms[&dom].1
+    }
+
+    fn weight(&self, dom: DomId) -> f64 {
+        f64::from(self.doms[&dom].0.weight)
+    }
+
+    fn allocate(&mut self, dt_secs: f64, demands: &[Demand]) -> Vec<Allocation> {
+        let capacity = self.physical_cores as f64 * dt_secs;
+        let total_weight: f64 = self.doms.values().map(|d| f64::from(d.0.weight)).sum();
+        if total_weight > 0.0 {
+            let clamp = self.physical_cores as f64 * self.period_secs;
+            for (params, credits) in self.doms.values_mut() {
+                *credits += capacity * f64::from(params.weight) / total_weight;
+                *credits = credits.clamp(-clamp, clamp);
+            }
+        }
+        let mut ceilings: Vec<(DomId, f64)> = demands
+            .iter()
+            .map(|d| {
+                let params = self.doms[&d.dom].0;
+                let mut ceil = d.core_secs.max(0.0);
+                ceil = ceil.min(f64::from(params.vcpus) * dt_secs);
+                if let Some(cap) = params.cap_percent {
+                    ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
+                }
+                (d.dom, ceil)
+            })
+            .collect();
+        let mut granted: BTreeMap<DomId, f64> = ceilings.iter().map(|(d, _)| (*d, 0.0)).collect();
+        let mut remaining = capacity;
+        for under_class in [true, false] {
+            if remaining <= 1e-15 {
+                break;
+            }
+            let mut class: Vec<&mut (DomId, f64)> = ceilings
+                .iter_mut()
+                .filter(|(d, ceil)| *ceil > 1e-15 && (self.doms[d].1 >= 0.0) == under_class)
+                .collect();
+            while !class.is_empty() && remaining > 1e-15 {
+                let wsum: f64 = class.iter().map(|(d, _)| self.weight(*d)).sum();
+                let mut saturated = false;
+                class.retain_mut(|entry| {
+                    let (d, ceil) = (entry.0, entry.1);
+                    let share = remaining * self.weight(d) / wsum;
+                    if share >= ceil {
+                        *granted.get_mut(&d).expect("granted") += ceil;
+                        entry.1 = 0.0;
+                        saturated = true;
+                        false
+                    } else {
+                        true
+                    }
+                });
+                let taken: f64 = granted.values().sum::<f64>();
+                remaining = capacity - taken;
+                if !saturated {
+                    let wsum: f64 = class.iter().map(|(d, _)| self.weight(*d)).sum();
+                    for entry in &mut class {
+                        let share = remaining * self.weight(entry.0) / wsum;
+                        *granted.get_mut(&entry.0).expect("granted") += share;
+                        entry.1 -= share;
+                    }
+                    remaining = 0.0;
+                    break;
+                }
+            }
+        }
+        demands
+            .iter()
+            .map(|d| {
+                let got = granted[&d.dom];
+                self.doms.get_mut(&d.dom).expect("registered").1 -= got;
+                Allocation {
+                    dom: d.dom,
+                    core_secs: got,
+                    starved_core_secs: (d.core_secs.max(0.0) - got).max(0.0),
+                }
+            })
+            .collect()
+    }
+}
 
 proptest! {
     /// The credit scheduler never over-allocates capacity, never gives a
@@ -55,6 +169,85 @@ proptest! {
                 // Accounting identity: allocation + starvation = demand
                 // (within ceiling effects).
                 prop_assert!(a.core_secs + a.starved_core_secs >= d.core_secs - 1e-9);
+            }
+        }
+    }
+
+    /// The dense scheduler equals the map-based reference bit for bit
+    /// over random multi-quantum runs: sparse domain ids, caps changed
+    /// mid-run, domains dropping out of (and back into) the demand
+    /// list, zero demands, and one reused output buffer throughout.
+    #[test]
+    fn scheduler_matches_reference_bit_for_bit(
+        cores in 1u32..8,
+        doms in proptest::collection::vec(
+            (1u32..1024, proptest::option::of(1u32..200), 1u32..8),
+            1..6
+        ),
+        stride in 1u32..4,
+        dt in 0.001f64..0.03,
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..4, 0.0f64..0.1), 6..7),
+                proptest::option::of((0usize..6, proptest::option::of(1u32..200))),
+            ),
+            1..80
+        ),
+    ) {
+        let id = |i: usize| DomId(i as u32 * stride);
+        let mut dense = CreditScheduler::new(cores);
+        let mut reference = RefScheduler::new(cores);
+        for (i, &(weight, cap_percent, vcpus)) in doms.iter().enumerate() {
+            let params = SchedParams { weight, cap_percent, vcpus };
+            dense.add_domain(id(i), params);
+            reference.add_domain(id(i), params);
+        }
+        let mut out = Vec::new();
+        for (step, (per_dom, cap_change)) in steps.iter().enumerate() {
+            if let Some((i, cap)) = *cap_change {
+                if i < doms.len() {
+                    dense.set_cap(id(i), cap);
+                    reference.set_cap(id(i), cap);
+                }
+            }
+            // Kind 0 drops the domain from this quantum's demand list,
+            // kind 1 lists it idle, kinds 2–3 give it work.
+            let demands: Vec<Demand> = per_dom
+                .iter()
+                .take(doms.len())
+                .enumerate()
+                .filter(|(_, &(kind, _))| kind != 0)
+                .map(|(i, &(kind, cs))| Demand {
+                    dom: id(i),
+                    core_secs: if kind == 1 { 0.0 } else { cs },
+                })
+                .collect();
+            dense.allocate_into(dt, &demands, &mut out);
+            let want = reference.allocate(dt, &demands);
+            prop_assert_eq!(out.len(), want.len());
+            for (a, b) in out.iter().zip(&want) {
+                prop_assert_eq!(a.dom, b.dom);
+                prop_assert_eq!(
+                    a.core_secs.to_bits(),
+                    b.core_secs.to_bits(),
+                    "step {}: {:?} granted {} vs reference {}",
+                    step, a.dom, a.core_secs, b.core_secs
+                );
+                prop_assert_eq!(
+                    a.starved_core_secs.to_bits(),
+                    b.starved_core_secs.to_bits(),
+                    "step {}: {:?} starved {} vs reference {}",
+                    step, a.dom, a.starved_core_secs, b.starved_core_secs
+                );
+            }
+            for i in 0..doms.len() {
+                let got = dense.credits(id(i)).expect("registered");
+                prop_assert_eq!(
+                    got.to_bits(),
+                    reference.credits(id(i)).to_bits(),
+                    "step {}: {:?} credits {} vs reference {}",
+                    step, id(i), got, reference.credits(id(i))
+                );
             }
         }
     }

@@ -250,3 +250,29 @@ fn empty_plan_leaves_the_run_untouched() {
     assert_eq!(a.events, b.events, "empty plan scheduled extra events");
     assert!(a.faults.is_none(), "empty plan produced a fault summary");
 }
+
+#[test]
+fn scenario_fingerprints_match_goldens() {
+    // Pinned series fingerprints of the Xen fault paths: the crash /
+    // restart (`down`) path, a runtime cap, dom0 credit starvation, and
+    // a healthy run with two background guests sharing the host. A
+    // change to the quantum or the credit scheduler must leave every
+    // one of these bits where it is.
+    let golden = [
+        ("db-crash", 0xa8bd_fe3c_103e_eae1_u64),
+        ("web-throttle", 0x5ad2_e1cd_b1e8_823e),
+        ("noisy-neighbor", 0x4a43_03cf_f50d_7fba),
+    ];
+    for (name, want) in golden {
+        let got = fingerprint(&run(faulted_cfg(name, 42)));
+        assert_eq!(got, want, "{name}: fingerprint {got:#x} drifted");
+    }
+    let mut bg = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
+    bg.seed = 42;
+    bg.background_vms = 2;
+    let got = fingerprint(&run(bg));
+    assert_eq!(
+        got, 0xb7f0_ef33_24f9_13b7,
+        "background_vms = 2: fingerprint {got:#x} drifted"
+    );
+}
