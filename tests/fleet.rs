@@ -9,10 +9,15 @@
 //!    worker-pool widths (`jobs = 1` vs `N`), pinned to its own
 //!    pre-cohort golden hash;
 //! 3. a 10k-client fault scenario showing the availability dip and
-//!    recovery survive the columnar retry/backoff/abandon paths.
+//!    recovery survive the columnar retry/backoff/abandon paths;
+//! 4. golden pins of the sharded fleet (`paper13`, `fleet100`, and
+//!    `paper13` with each built-in scenario on pod 0), so the request
+//!    pipeline the pods run is held to the same replay contract as the
+//!    single-host testbed.
 
 use cloudchar_core::{
-    run, run_seeds_jobs, scenario, scenario_report, Deployment, ExperimentConfig, ExperimentResult,
+    run, run_fleet, run_seeds_jobs, scenario, scenario_report, Deployment, ExperimentConfig,
+    ExperimentResult, FleetConfig,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
@@ -141,4 +146,41 @@ fn abandoned_sessions_resume_after_the_pause() {
         "abandoned sessions failed to resume: availability {}",
         report.availability_after
     );
+}
+
+#[test]
+fn fleet_fingerprints_match_goldens() {
+    // The two fleet topologies the shard bench records, and paper13
+    // with each built-in chaos scenario injected into pod 0.
+    let paper13 = run_fleet(&FleetConfig::paper13(), 1);
+    assert_eq!(
+        paper13.fingerprint(),
+        0x5e2e_3f36_7b03_9350,
+        "paper13: fingerprint {:#x} drifted",
+        paper13.fingerprint()
+    );
+    assert_eq!(paper13.completed, 4236, "paper13: completion count drifted");
+    let fleet100 = run_fleet(&FleetConfig::fleet100(), 1);
+    assert_eq!(
+        fleet100.fingerprint(),
+        0x65db_bc33_f17a_dc37,
+        "fleet100: fingerprint {:#x} drifted",
+        fleet100.fingerprint()
+    );
+    assert_eq!(
+        fleet100.completed, 14536,
+        "fleet100: completion count drifted"
+    );
+    let golden = [
+        ("db-crash", 0xba20_9300_c50d_216d_u64),
+        ("web-throttle", 0x278f_724d_fb74_9a39),
+        ("noisy-neighbor", 0x86d7_590b_6b50_fbd5),
+    ];
+    for (name, want) in golden {
+        let mut cfg = FleetConfig::paper13();
+        cfg.base.faults = scenario(name, 120.0).expect("built-in scenario");
+        cfg.fault_pod = Some(0);
+        let got = run_fleet(&cfg, 1).fingerprint();
+        assert_eq!(got, want, "paper13 + {name}: fingerprint {got:#x} drifted");
+    }
 }
