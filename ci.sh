@@ -23,6 +23,9 @@ cargo run --release -p cloudchar-bench --bin repro -- --fast ratios --sweep 2 --
 echo "==> repro audit of the fault scenarios (exits 1 on any invariant violation)"
 cargo run --release -p cloudchar-bench --bin repro -- --audit --fast scenarios > /dev/null
 
+echo "==> repro audit of the fleet pod pipeline under db-crash (exits 1 on any invariant violation)"
+cargo run --release -p cloudchar-bench --bin repro -- --audit fleet --hosts 13 --jobs 2 --faults db-crash > /dev/null
+
 echo "==> repro fault-plan round-trip smoke"
 cargo run --release -p cloudchar-bench --bin repro -- fault-roundtrip > /dev/null
 
@@ -35,7 +38,7 @@ cargo bench -p cloudchar-bench --bench analysis -- --smoke
 echo "==> clients bench smoke (cohort wheel: >=10x fewer generator events per tick at 100k)"
 cargo bench -p cloudchar-bench --bench clients -- --smoke
 
-echo "==> shard bench smoke (jobs=4 fingerprint == jobs=1, >1.5x critical-path headroom, no 1-shard wall regression)"
+echo "==> shard bench smoke (jobs=4 fingerprint == jobs=1, >1.5x critical-path headroom)"
 cargo bench -p cloudchar-bench --bench shard -- --smoke
 
 echo "==> trace bench smoke (>=4x compression, round-trip fingerprint, out-of-core fig CSVs byte-equal)"
@@ -43,9 +46,6 @@ cargo bench -p cloudchar-bench --bench trace -- --smoke
 
 echo "==> online bench smoke (incremental per-tick update >=10x batch recompute at W=600, 1e-9 oracle parity)"
 cargo bench -p cloudchar-bench --bench online -- --smoke
-
-echo "==> sharded-engine differential harness (legacy vs jobs=1 vs jobs=4, golden hashes)"
-cargo test -q --release -p cloudchar-core --test shard_equiv
 
 echo "==> fleet smoke (100k-client cohort run, release, wall-clock budget)"
 fleet_start=$(date +%s%N)

@@ -26,15 +26,10 @@
 //! Run `cargo bench -p cloudchar-bench --bench shard` for the criterion
 //! groups, `-- --record` to print the `results/BENCH_shard.json`
 //! payload, or `-- --smoke` for the CI gate: jobs=4 fingerprint equals
-//! jobs=1, the ideal speedup at 4 shards clears 1.5x on the 100-host
-//! fleet, and the sharded wrapper does not regress wall-clock on a
-//! single-shard (whole-world) run.
+//! jobs=1, and the ideal speedup at 4 shards clears 1.5x on the 100-host
+//! fleet.
 
-use cloudchar_core::{
-    run, run_fleet, run_fleet_mode, run_sharded, Deployment, ExperimentConfig, FleetConfig,
-    FleetResult,
-};
-use cloudchar_rubis::WorkloadMix;
+use cloudchar_core::{run_fleet, run_fleet_opts, FleetConfig, FleetResult, RunOptions};
 use cloudchar_simcore::RunMode;
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -47,13 +42,18 @@ fn topologies() -> [(&'static str, FleetConfig); 2] {
     ]
 }
 
+/// One fleet run under `mode`, resident store, no observers.
+fn run_mode(cfg: &FleetConfig, mode: RunMode) -> FleetResult {
+    run_fleet_opts(cfg, mode, &RunOptions::default()).expect("valid fleet config")
+}
+
 /// Minimum wall time of `reps` runs, plus the last result.
 fn time_fleet(cfg: &FleetConfig, mode: RunMode, reps: u32) -> (u128, FleetResult) {
     let mut best = u128::MAX;
-    let mut last = run_fleet_mode(cfg, mode); // warm: heap + page faults
+    let mut last = run_mode(cfg, mode); // warm: heap + page faults
     for _ in 0..reps {
         let t = Instant::now();
-        last = black_box(run_fleet_mode(cfg, mode));
+        last = black_box(run_mode(cfg, mode));
         best = best.min(t.elapsed().as_nanos());
     }
     (best, last)
@@ -65,7 +65,7 @@ fn bench_fleet(c: &mut Criterion) {
         let mut group = c.benchmark_group(group_name.as_str());
         group.sample_size(10);
         group.bench_function("single_queue", |b| {
-            b.iter(|| black_box(run_fleet_mode(&cfg, RunMode::SingleQueue).completed))
+            b.iter(|| black_box(run_mode(&cfg, RunMode::SingleQueue).completed))
         });
         for jobs in [1usize, 4] {
             let label = format!("windowed_jobs{jobs}");
@@ -127,7 +127,7 @@ fn record() {
 }
 
 fn smoke() {
-    // Gate 1: the parallel fleet is byte-identical to serial, and the
+    // The parallel fleet is byte-identical to serial, and the
     // round schedule has enough slack for >1.5x ideal parallelism at 4
     // shards on the 100-host configuration.
     let cfg = FleetConfig::fleet100();
@@ -149,30 +149,6 @@ fn smoke() {
         "100-host fleet must have >1.5x critical-path headroom at 4 shards, got {ideal:.2}x"
     );
 
-    // Gate 2: the sharded wrapper around a single whole-world shard must
-    // not regress wall-clock against the plain engine (generous 1.5x
-    // tolerance: the run is short and timer noise on shared CI is real).
-    let mk = || ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
-    let wall = |f: &dyn Fn() -> u64| {
-        let mut best = u128::MAX;
-        black_box(f()); // warm
-        for _ in 0..3 {
-            let t = Instant::now();
-            black_box(f());
-            best = best.min(t.elapsed().as_nanos());
-        }
-        best
-    };
-    let legacy_ns = wall(&|| run(mk()).completed);
-    let sharded_ns = wall(&|| run_sharded(mk(), 1).completed);
-    let ratio = sharded_ns as f64 / legacy_ns as f64;
-    println!(
-        "shard smoke: single-shard wrapper {sharded_ns} ns vs legacy {legacy_ns} ns ({ratio:.2}x)"
-    );
-    assert!(
-        ratio < 1.5,
-        "run_sharded(jobs=1) must not regress wall-clock on one shard, got {ratio:.2}x"
-    );
     println!("shard smoke: PASS");
 }
 

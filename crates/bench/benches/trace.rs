@@ -24,8 +24,8 @@
 
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
-    full_characterize, full_characterize_trace, run, run_traced, write_csv_streaming, Deployment,
-    ExperimentConfig, ExperimentResult, ResourceCursor, TraceDir,
+    full_characterize, full_characterize_trace, run, run_opts, write_csv_streaming, Deployment,
+    ExperimentConfig, ExperimentResult, ResourceCursor, RunOptions, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
@@ -148,6 +148,15 @@ fn fast_pair(mix: WorkloadMix) -> ExperimentConfig {
     ExperimentConfig::fast(Deployment::Virtualized, mix)
 }
 
+/// Run `cfg` with its samples streamed to the trace file `path`.
+fn traced_run(cfg: ExperimentConfig, path: &Path) -> ExperimentResult {
+    let opts = RunOptions {
+        trace_out: Some(path.to_path_buf()),
+        ..RunOptions::default()
+    };
+    run_opts(cfg, &opts).expect("traced run").0
+}
+
 /// In-memory fig CSV bytes, formatted exactly as the repro binary's
 /// exporter (and `write_csv_streaming`) formats them.
 fn csv_in_memory(
@@ -233,7 +242,7 @@ fn record() {
     let jobs = cores.min(4);
     let r = run(fast_pair(WorkloadMix::BROWSING));
     let path = tmp("char.cctr");
-    let traced = run_traced(fast_pair(WorkloadMix::BROWSING), &path).expect("traced run");
+    let traced = traced_run(fast_pair(WorkloadMix::BROWSING), &path);
     assert_eq!(r.completed, traced.completed, "traced run diverged");
     let trace = TraceDir::open(&path).expect("open trace");
     let mut mem_ns = u128::MAX;
@@ -290,8 +299,8 @@ fn smoke() {
     let bid = run(fast_pair(WorkloadMix::BIDDING));
     let browse_path = tmp("virt_browse.cctr");
     let bid_path = tmp("virt_bid.cctr");
-    run_traced(fast_pair(WorkloadMix::BROWSING), &browse_path).expect("traced browse");
-    run_traced(fast_pair(WorkloadMix::BIDDING), &bid_path).expect("traced bid");
+    traced_run(fast_pair(WorkloadMix::BROWSING), &browse_path);
+    traced_run(fast_pair(WorkloadMix::BIDDING), &bid_path);
     let browse_trace = TraceDir::open(&browse_path).expect("open browse trace");
     let bid_trace = TraceDir::open(&bid_path).expect("open bid trace");
     let mut checked = 0;

@@ -11,7 +11,6 @@
 //! cargo run --release -p cloudchar-bench --bin repro -- characterize --full --jobs 8
 //! cargo run --release -p cloudchar-bench --bin repro -- --fast --faults plan.json fig1
 //! cargo run --release -p cloudchar-bench --bin repro -- --fast --clients 100000 fig1
-//! cargo run --release -p cloudchar-bench --bin repro -- --fast --engine sharded --jobs 4 fig1
 //! cargo run --release -p cloudchar-bench --bin repro -- fleet --hosts 100 --jobs 4
 //! cargo run --release -p cloudchar-bench --bin repro -- --trace-out traces fig1 characterize
 //! cargo run --release -p cloudchar-bench --bin repro -- --trace-in traces characterize --jobs 4
@@ -21,12 +20,9 @@
 //! cargo run --release -p cloudchar-bench --bin repro -- run --help
 //! ```
 //!
-//! `--engine sharded` routes every experiment through the sharded
-//! runner (`--jobs` worker threads) instead of the single-queue engine;
-//! outputs are byte-identical by construction. `fleet` runs the
-//! multi-host topology — a generator shard plus one shard per physical
-//! host (`--hosts 13` paper testbed, `--hosts 100` scale-out) — where
-//! `--jobs` parallelism acts across hosts.
+//! `fleet` runs the multi-host topology — a generator shard plus one
+//! shard per physical host (`--hosts 13` paper testbed, `--hosts 100`
+//! scale-out) — where `--jobs` parallelism acts across hosts.
 //!
 //! `--faults <plan.json|scenario>` injects a fault schedule into every
 //! experiment the run performs. The value is either a path to a
@@ -64,7 +60,7 @@
 //! sample into incremental per-host profilers and print a per-window
 //! profile line (summary, lag-1 autocorrelation, dominant period,
 //! jumps) as the run executes — O(1) amortized per tick, composing
-//! with `--trace-out` and `--engine sharded` without perturbing either.
+//! with `--trace-out` without perturbing it.
 //!
 //! `--trace-out <dir>` runs each experiment with the streaming chunk
 //! writer: samples go straight to compressed `.cctr` files under
@@ -83,13 +79,13 @@
 use cloudchar_analysis::{summarize, Resource};
 use cloudchar_core::{
     default_jobs, full_characterize_trace, paper_values, q1_tier_lag, q2_ram_jumps, q3_disk_cv,
-    ratio_report, run, run_fleet_opts, run_opts, run_seeds_jobs, run_sharded, run_traced, scenario,
-    scenario_report, write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult,
-    FleetConfig, ResourceCursor, RunOptions, TraceDir, SCENARIOS,
+    ratio_report, run, run_fleet_opts, run_opts, run_seeds_jobs, scenario, scenario_report,
+    write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
+    ResourceCursor, RunOptions, TraceDir, SCENARIOS,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
-use cloudchar_simcore::FaultPlan;
+use cloudchar_simcore::{FaultPlan, RunMode};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
@@ -106,12 +102,6 @@ struct Lab {
     fast: bool,
     faults: Option<String>,
     clients: Option<u32>,
-    /// `--engine sharded` routes every experiment through the sharded
-    /// runner (`--jobs` worker threads); default is the single-queue
-    /// engine. Results are byte-identical either way — the differential
-    /// harness in `tests/shard_equiv.rs` pins that.
-    sharded: bool,
-    jobs: usize,
     /// `--trace-out <dir>`: run experiments with the streaming chunk
     /// writer and analyze the on-disk store instead of a resident one.
     trace_out: Option<String>,
@@ -164,11 +154,7 @@ impl Lab {
                 cfg.duration.as_secs_f64()
             );
             let t0 = std::time::Instant::now();
-            let result = if self.sharded {
-                run_sharded(cfg, self.jobs)
-            } else {
-                run(cfg)
-            };
+            let result = run(cfg);
             eprintln!(
                 "[repro]   done in {:.1}s ({} requests, {} events)",
                 t0.elapsed().as_secs_f64(),
@@ -217,7 +203,11 @@ impl Lab {
                 cfg.duration.as_secs_f64()
             );
             let t0 = std::time::Instant::now();
-            let result = must(run_traced(cfg, Path::new(&path)), "write trace");
+            let opts = RunOptions {
+                trace_out: Some(path.clone().into()),
+                ..RunOptions::default()
+            };
+            let (result, _) = must(run_opts(cfg, &opts), "write trace");
             eprintln!(
                 "[repro]   done in {:.1}s ({} requests, {} events)",
                 t0.elapsed().as_secs_f64(),
@@ -916,8 +906,7 @@ fn characterize_cmd(lab: &mut Lab, full: bool, jobs: usize) {
 
 /// `run` — one experiment (virtualized/browsing) through the
 /// composable runner: `--online --window W` prints live per-host
-/// profiles, and the run composes with `--trace-out` and
-/// `--engine sharded`.
+/// profiles, and the run composes with `--trace-out`.
 fn run_cmd(lab: &Lab, online: Option<usize>) {
     let cfg = lab.config(Key::VirtBrowse);
     let trace_path = lab.trace_out.as_ref().map(|dir| {
@@ -927,7 +916,6 @@ fn run_cmd(lab: &Lab, online: Option<usize>) {
     let opts = RunOptions {
         trace_out: trace_path.clone(),
         online_window: online,
-        sharded_jobs: lab.sharded.then_some(lab.jobs),
     };
     println!(
         "== Run: virtualized/browsing ({} clients × {:.0}s) ==",
@@ -988,27 +976,28 @@ fn fleet_cmd(
         cfg.base.clients,
         cfg.base.duration.as_secs_f64()
     );
+    let opts = RunOptions {
+        trace_out: trace_out.as_ref().map(Into::into),
+        online_window: online,
+    };
+    if let Some(dir) = trace_out {
+        eprintln!("[repro] streaming pod traces → {dir}/podNN.cctr …");
+    }
     let t0 = std::time::Instant::now();
-    let (r, fp) = match trace_out {
+    let r = must(
+        run_fleet_opts(&cfg, RunMode::Windowed { jobs }, &opts),
+        "fleet run",
+    );
+    let fp = match trace_out {
+        // Pod samples streamed to `dir/podNN.cctr`; the fingerprint's
+        // series fold is streamed back off disk, so it matches the
+        // untraced run without ever holding the store in memory.
         Some(dir) => {
-            // Pod samples stream to `dir/podNN.cctr`; the fingerprint's
-            // series fold is streamed back off disk, so it matches the
-            // untraced run without ever holding the store in memory.
-            eprintln!("[repro] streaming pod traces → {dir}/podNN.cctr …");
-            let r = must(
-                run_fleet_opts(&cfg, jobs, Some(Path::new(dir)), online),
-                "fleet trace",
-            );
             let trace = must(TraceDir::open(Path::new(dir)), "open fleet trace");
             let h = must(trace.fold_values(0xcbf2_9ce4_8422_2325), "hash fleet trace");
-            let fp = r.counter_fingerprint(h);
-            (r, fp)
+            r.counter_fingerprint(h)
         }
-        None => {
-            let r = must(run_fleet_opts(&cfg, jobs, None, online), "fleet run");
-            let fp = r.fingerprint();
-            (r, fp)
-        }
+        None => r.fingerprint(),
     };
     let wall = t0.elapsed().as_secs_f64();
     let s = &r.stats;
@@ -1042,9 +1031,6 @@ fn fleet_cmd(
 const HELP_COMMON: &str = "\
 Global flags (accepted by every subcommand):
   --fast                 reduced-scale runs (seconds instead of minutes)
-  --engine <legacy|sharded>
-                         event engine; sharded fans one run across --jobs
-                         worker threads with byte-identical output
   --jobs <N>             worker-pool width for parallel stages
   --clients <N>          override the emulated client population
   --faults <plan.json|scenario>
@@ -1072,7 +1058,6 @@ fn print_help(topic: Option<&str>) -> ! {
             println!("  --online [--window W]  print live per-host online profiles");
             println!("  --trace-out <dir>      stream samples to <dir>/virt_browse.cctr");
             println!("  --trace-in <dir>       (not applicable: run always executes)");
-            println!("  --engine sharded       run on the sharded engine (--jobs threads)");
             println!("  --clients <N>          override the client population");
             println!();
             println!("{HELP_COMMON}");
@@ -1086,7 +1071,7 @@ fn print_help(topic: Option<&str>) -> ! {
             println!("  --online [--window W]  live per-pod online profiles (podNN/host)");
             println!("  --trace-out <dir>      stream one <dir>/podNN.cctr per pod");
             println!("  --trace-in <dir>       (not applicable: fleet always executes)");
-            println!("  --engine / --clients   accepted for symmetry with run");
+            println!("  --clients              accepted for symmetry with run");
             println!("  --faults <spec>        inject the plan into pod 0 only");
             println!();
             println!("{HELP_COMMON}");
@@ -1101,8 +1086,7 @@ fn print_help(topic: Option<&str>) -> ! {
             println!("  --trace-out <dir>      run with streaming traces, then profile");
             println!("                         out of core (implies the full catalog)");
             println!("  --trace-in <dir>       profile existing traces without rerunning");
-            println!("  --engine sharded       route the backing runs through the");
-            println!("                         sharded engine; --clients <N> scales them");
+            println!("  --clients <N>          scale the backing runs");
             println!();
             println!("{HELP_COMMON}");
         }
@@ -1116,7 +1100,6 @@ fn print_help(topic: Option<&str>) -> ! {
             println!("  --trace-out <dir>      stream the backing runs to .cctr traces");
             println!("                         and render the figures off disk");
             println!("  --trace-in <dir>       render from existing traces, no reruns");
-            println!("  --engine sharded       sharded backing runs (byte-identical)");
             println!("  --clients <N>          scale the backing runs");
             println!();
             println!("{HELP_COMMON}");
@@ -1186,7 +1169,6 @@ fn main() {
     let mut window: usize = 60;
     let mut faults: Option<String> = None;
     let mut clients: Option<u32> = None;
-    let mut engine: Option<String> = None;
     let mut hosts: usize = 13;
     let mut trace_out: Option<String> = None;
     let mut trace_in: Option<String> = None;
@@ -1203,8 +1185,6 @@ fn main() {
             window = w;
         } else if let Some(f) = take_value(&arg, "--faults", &mut it) {
             faults = Some(f);
-        } else if let Some(e) = take_value(&arg, "--engine", &mut it) {
-            engine = Some(e);
         } else if let Some(h) = take_count(&arg, "--hosts", &mut it) {
             hosts = h;
         } else if let Some(d) = take_value(&arg, "--trace-out", &mut it) {
@@ -1215,6 +1195,11 @@ fn main() {
             // Validated (> 0, <= MAX_CLIENTS) by cfg.validate() per run;
             // saturate so an absurd value still hits the ceiling check.
             clients = Some(u32::try_from(n).unwrap_or(u32::MAX));
+        } else if arg.starts_with("--") {
+            // An unknown flag would otherwise read as a command name and
+            // silently displace the default `all`.
+            eprintln!("[repro] unknown flag {arg:?} (see repro --help)");
+            std::process::exit(2);
         } else {
             cmds.push(arg);
         }
@@ -1225,14 +1210,6 @@ fn main() {
     if audit {
         cloudchar_simcore::audit::enable();
     }
-    let sharded = match engine.as_deref() {
-        None | Some("legacy") | Some("single-queue") => false,
-        Some("sharded") => true,
-        Some(other) => {
-            eprintln!("[repro] --engine must be legacy|sharded, got {other:?}");
-            std::process::exit(2);
-        }
-    };
     if trace_in.is_some() && trace_out.is_some() {
         eprintln!("[repro] --trace-in and --trace-out are mutually exclusive");
         std::process::exit(2);
@@ -1241,8 +1218,6 @@ fn main() {
         fast,
         faults,
         clients,
-        sharded,
-        jobs,
         trace_out: trace_out.clone(),
         trace_in,
         traced: Vec::new(),

@@ -149,11 +149,28 @@ fn trace_in_missing_file_fails_with_hint() {
 }
 
 #[test]
+fn unknown_flag_is_rejected() {
+    // An unknown flag must fail loudly, not be taken for a command
+    // name that displaces the default `all`.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--fast", "--no-such-flag"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag \"--no-such-flag\""),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn help_lists_shared_flags_for_every_subcommand() {
     // The satellite contract: global help and each subcommand's help
     // must list the shared flags consistently — no drift between what
     // run/fleet/characterize/figures claim to accept.
-    let shared = ["--trace-out", "--trace-in", "--clients", "--engine"];
+    let shared = ["--trace-out", "--trace-in", "--clients"];
     let (global, _) = repro(&["--help"]);
     for flag in shared {
         assert!(

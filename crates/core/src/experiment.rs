@@ -1,17 +1,12 @@
 //! Experiment execution and result extraction.
 
-use crate::config::{Deployment, ExperimentConfig};
-use crate::online::{OnlineBank, OnlineReport};
-use crate::phys::{HostIoPolicy, PhysPlatform};
-use crate::platform::Platform;
-use crate::virt::VirtPlatform;
-use crate::workload::{bootstrap, World};
+use crate::config::ExperimentConfig;
+use crate::online::OnlineReport;
+use crate::workload::{bootstrap, Lanes, Stack, World};
 use cloudchar_analysis::Resource;
-use cloudchar_hw::ServerSpec;
-use cloudchar_monitor::{catalog, ChunkWriter, FaultSummary, SeriesStore, Source};
-use cloudchar_rubis::{ClientCohort, Database, MySqlServer, WebAppServer};
-use cloudchar_simcore::shard::{RunMode, ShardCtx, ShardLogic, ShardedEngine, Topology};
-use cloudchar_simcore::{audit, Engine, SimRng, SimTime};
+use cloudchar_monitor::{catalog, FaultSummary, SeriesStore, Source};
+use cloudchar_rubis::ClientCohort;
+use cloudchar_simcore::{audit, Engine, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one experiment run.
@@ -44,17 +39,6 @@ pub struct ExperimentResult {
     pub faults: Option<FaultSummary>,
 }
 
-/// The paper's server spec with failure-injected disk degradation.
-fn degraded_spec(factor: f64) -> ServerSpec {
-    let mut spec = ServerSpec::hp_proliant();
-    if factor > 1.0 {
-        spec.disk.bandwidth = (spec.disk.bandwidth as f64 / factor) as u64;
-        spec.disk.positioning = spec.disk.positioning.mul_f64(factor);
-        spec.disk.sequential_positioning = spec.disk.sequential_positioning.mul_f64(factor);
-    }
-    spec
-}
-
 /// Run one experiment to completion.
 pub fn run(cfg: ExperimentConfig) -> ExperimentResult {
     let (mut engine, mut world) = build(&cfg);
@@ -62,40 +46,23 @@ pub fn run(cfg: ExperimentConfig) -> ExperimentResult {
     finalize(cfg, engine, world)
 }
 
-/// Run one experiment with the sampling tick spilling to a chunked
-/// compressed trace file at `path` instead of the in-memory store:
-/// resident series memory stays bounded by the open-chunk working set
-/// however long the run is. The simulation itself is byte-identical to
-/// [`run`] (tracing only redirects the sample sink), so counters,
-/// latencies and the replay fingerprint are unchanged; the returned
-/// result's `store` is empty, and analysis reads the trace through
-/// [`crate::trace`].
-pub fn run_traced(
-    cfg: ExperimentConfig,
-    path: &std::path::Path,
-) -> std::io::Result<ExperimentResult> {
-    let opts = RunOptions {
-        trace_out: Some(path.to_path_buf()),
-        ..RunOptions::default()
-    };
-    run_opts(cfg, &opts).map(|(result, _)| result)
-}
-
 /// Composable run options: the sinks and observers a run can carry.
-/// All combinations are valid — tracing redirects the sample sink,
-/// online profiling only observes, and the sharded engine produces
-/// byte-identical events — so the simulation itself never changes.
+/// All combinations are valid — tracing redirects the sample sink and
+/// online profiling only observes — so the simulation itself never
+/// changes. The same options drive a fleet
+/// ([`crate::fleet::run_fleet_opts`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Spill sampled rows to a chunked compressed trace at this path
-    /// (the in-memory store stays empty), as in [`run_traced`].
+    /// Spill sampled rows to chunked compressed traces instead of the
+    /// in-memory store, which stays empty of series: a single-host run
+    /// writes this `.cctr` file, a fleet writes one `podNN.cctr` per pod
+    /// into this directory. Resident series memory stays bounded by the
+    /// open-chunk working set however long the run is; analysis reads
+    /// the trace through [`crate::trace`].
     pub trace_out: Option<std::path::PathBuf>,
     /// Arm live online characterization over sliding windows of this
     /// many samples; the run returns an [`OnlineReport`].
     pub online_window: Option<usize>,
-    /// Route through the sharded runner with this many worker threads,
-    /// as in [`run_sharded`].
-    pub sharded_jobs: Option<usize>,
 }
 
 /// Run one experiment with composable [`RunOptions`]. The second
@@ -105,141 +72,40 @@ pub fn run_opts(
     cfg: ExperimentConfig,
     opts: &RunOptions,
 ) -> std::io::Result<(ExperimentResult, Option<OnlineReport>)> {
-    let (engine, mut world) = build(&cfg);
-    if let Some(path) = &opts.trace_out {
-        let writer = ChunkWriter::create(path, "", cloudchar_monitor::CHUNK_SAMPLES)?;
-        world.set_trace_writer(writer);
-    }
-    if let Some(window) = opts.online_window {
-        world.set_online(OnlineBank::new(window, cfg.sample_interval.as_secs_f64()));
-    }
-    let (engine, mut world) = match opts.sharded_jobs {
-        Some(jobs) => {
-            let mut sharded =
-                ShardedEngine::new(Topology::new(1), vec![MonoShard { engine, world }]);
-            sharded.run(cfg.end_time(), RunMode::Windowed { jobs: jobs.max(1) });
-            let Some(MonoShard { engine, world }) = sharded.into_logics().pop() else {
-                unreachable!("one shard in, one shard out");
-            };
-            (engine, world)
-        }
-        None => {
-            let mut engine = engine;
-            engine.run_until(&mut world, cfg.end_time());
-            (engine, world)
-        }
-    };
-    let (writer, deferred) = world.take_trace();
-    if let Some(e) = deferred {
-        return Err(e);
-    }
-    if let Some(mut w) = writer {
-        w.finish()?;
-    }
-    let online = world.take_online().map(OnlineBank::finish);
+    let (mut engine, mut world) = build(&cfg);
+    let trace = opts.trace_out.as_deref().map(|path| (path, ""));
+    world.stack.attach_sinks(trace, opts.online_window)?;
+    engine.run_until(&mut world, cfg.end_time());
+    let online = world.stack.detach_sinks()?;
     Ok((finalize(cfg, engine, world), online))
 }
 
-/// Run one experiment through the sharded runner.
-///
-/// An [`ExperimentConfig`] world is *one* physical host (both RUBiS
-/// tiers in VMs on it, or two directly-cabled servers sharing one
-/// event stream), so it maps onto a single shard wrapping the whole
-/// engine/world pair — byte-identical to [`run`] by construction, at
-/// any `jobs`, which is exactly what `tests/shard_equiv.rs` pins.
-/// Multi-host parallelism lives in [`crate::fleet`], where each pod is
-/// its own shard.
-pub fn run_sharded(cfg: ExperimentConfig, jobs: usize) -> ExperimentResult {
-    let (engine, world) = build(&cfg);
-    let mut sharded = ShardedEngine::new(Topology::new(1), vec![MonoShard { engine, world }]);
-    sharded.run(cfg.end_time(), RunMode::Windowed { jobs: jobs.max(1) });
-    let Some(MonoShard { engine, world }) = sharded.into_logics().pop() else {
-        unreachable!("one shard in, one shard out");
-    };
-    finalize(cfg, engine, world)
-}
-
-/// The whole single-host experiment as one shard: no in-links means an
-/// unbounded horizon, so the runner executes it in a single window.
-struct MonoShard {
-    engine: Engine<World>,
-    world: World,
-}
-
-impl ShardLogic for MonoShard {
-    type Msg = ();
-
-    fn next_local(&mut self) -> Option<SimTime> {
-        self.engine.peek_next_time()
-    }
-
-    fn run_local(&mut self, ctx: &mut ShardCtx<'_, ()>) -> u64 {
-        self.engine.run_before(&mut self.world, ctx.limit())
-    }
-
-    fn on_message(&mut self, _ctx: &mut ShardCtx<'_, ()>, _src: u32, _msg: ()) {
-        unreachable!("a single-shard topology has no channels");
-    }
-}
-
-/// Build the engine/world pair of an experiment: platform, application
-/// models, bootstrap events, and any fault plan — everything up to the
-/// first event execution.
+/// Build the engine/world pair of an experiment: the server stack, the
+/// client cohort, and every start-up event including the fault plan —
+/// everything up to the first event execution.
 fn build(cfg: &ExperimentConfig) -> (Engine<World>, World) {
     cfg.validate().expect("invalid experiment config");
     let master = SimRng::new(cfg.seed);
-    let mut db_rng = master.derive("db-gen");
-    let mut client_rng = master.derive("clients");
-    let workload_rng = master.derive("workload");
-    let platform_rng = master.derive("platform");
-    let fault_rng = master.derive("faults");
-
-    let spec = degraded_spec(cfg.disk_degradation);
-    let db = Database::generate(cfg.db_scale, &mut db_rng);
-    let mut mysql = MySqlServer::new(db, cfg.mysql);
-    // The paper measures a warm database; leave some cold tail so the
-    // early-run read decay of Figure 3 remains visible.
-    mysql.prewarm(0.6);
-    let web = WebAppServer::new(cfg.web);
-    let clients = ClientCohort::new(cfg.clients, cfg.mix, &mut client_rng);
-    let platform = match cfg.deployment {
-        Deployment::Virtualized => Platform::Virt(Box::new(VirtPlatform::new(
-            spec,
-            crate::virt::VirtOptions {
-                overhead: cfg.overhead,
-                vm_cap_percent: cfg.vm_cap_percent,
-                background_vms: cfg.background_vms,
-                background_util: cfg.background_util,
-                background_iops: cfg.background_iops,
-            },
-            platform_rng,
-        ))),
-        Deployment::NonVirtualized => Platform::Phys(Box::new(PhysPlatform::new(
-            spec,
-            HostIoPolicy::default(),
-            platform_rng,
-        ))),
+    let lanes = Lanes {
+        db: master.derive("db-gen"),
+        platform: master.derive("platform"),
+        workload: master.derive("workload"),
+        faults: master.derive("faults"),
     };
-    let mut world = World::new(
-        cfg.clone(),
-        platform,
-        web,
-        mysql,
-        clients,
-        workload_rng,
-        fault_rng,
-    );
+    let stack = Stack::new(cfg, lanes, cfg.clients, true);
+    let mut client_rng = master.derive("clients");
+    let clients = ClientCohort::new(cfg.clients, cfg.mix, &mut client_rng);
+    let mut world = World::new(cfg.clone(), stack, clients);
     let mut engine: Engine<World> = Engine::new();
     bootstrap(&mut engine, &mut world);
-    if !cfg.faults.is_empty() {
-        crate::faults::install_plan(&cfg.faults, &mut engine, &mut world);
-    }
     (engine, world)
 }
 
 /// Extract the [`ExperimentResult`] of a completed engine/world pair.
 fn finalize(cfg: ExperimentConfig, engine: Engine<World>, world: World) -> ExperimentResult {
-    let hosts: Vec<String> = world
+    let faults = world.fault_summary();
+    let stack = world.stack;
+    let hosts: Vec<String> = stack
         .platform
         .host_labels()
         .iter()
@@ -249,7 +115,7 @@ fn finalize(cfg: ExperimentConfig, engine: Engine<World>, world: World) -> Exper
         // Every sampled series must hold exactly one point per sampling
         // tick at the configured cadence (the paper's 2 s interval).
         let expected = cfg.sample_count();
-        for (host, metric, series) in world.store.iter() {
+        for (host, metric, series) in stack.store.iter() {
             audit::check(
                 "monitor.sample_cadence",
                 series.start.as_nanos(),
@@ -278,11 +144,6 @@ fn finalize(cfg: ExperimentConfig, engine: Engine<World>, world: World) -> Exper
             )
         })
         .collect();
-    let faults = if world.faults_enabled() {
-        Some(world.fault_summary())
-    } else {
-        None
-    };
     ExperimentResult {
         config: cfg,
         hosts,
@@ -294,7 +155,7 @@ fn finalize(cfg: ExperimentConfig, engine: Engine<World>, world: World) -> Exper
         events: engine.events_executed(),
         transactions,
         faults,
-        store: world.store,
+        store: stack.store,
     }
 }
 
@@ -404,6 +265,7 @@ impl ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Deployment;
     use cloudchar_rubis::WorkloadMix;
 
     #[test]
@@ -571,22 +433,6 @@ mod tests {
         assert_eq!(plain.cpu_cycles("web-vm"), observed.cpu_cycles("web-vm"));
         assert_eq!(plain.net_kb("web-vm"), observed.net_kb("web-vm"));
         assert_eq!(plain.disk_kb("dom0"), observed.disk_kb("dom0"));
-    }
-
-    #[test]
-    fn online_composes_with_sharded_engine() {
-        let cfg = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
-        let plain = run(cfg.clone());
-        let opts = RunOptions {
-            online_window: Some(16),
-            sharded_jobs: Some(2),
-            ..RunOptions::default()
-        };
-        let (sharded, report) = run_opts(cfg, &opts).unwrap();
-        let report = report.expect("online was armed");
-        assert!(!report.snapshots.is_empty());
-        assert_eq!(plain.completed, sharded.completed);
-        assert_eq!(plain.cpu_cycles("web-vm"), sharded.cpu_cycles("web-vm"));
     }
 
     #[test]

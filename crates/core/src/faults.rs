@@ -1,22 +1,20 @@
 //! Fault-plan interpretation: glue between the generic
 //! [`cloudchar_simcore::fault`] schedule and the cloudchar testbed.
 //!
-//! A [`FaultPlan`] only names *what* happens *when*; this module decides
-//! what each [`FaultKind`] means for a running [`World`] — platform-level
-//! faults route through [`crate::platform::Platform::apply_fault`],
-//! application-level errors arm the workload layer's per-tier error
-//! probability, and the tokens of any work a crash dropped are failed as
-//! requests.
+//! A [`FaultPlan`] only names *what* happens *when*; the request
+//! pipeline ([`crate::workload`]) decides what each [`FaultKind`] means
+//! for a running server stack — platform-level faults route through
+//! [`crate::platform::Platform::apply_fault`], application-level errors
+//! arm the per-tier error probability, and the tokens of any work a
+//! crash dropped are failed as requests.
 //!
-//! It also ships the three built-in chaos scenarios (`db-crash`,
+//! This module ships the three built-in chaos scenarios (`db-crash`,
 //! `web-throttle`, `noisy-neighbor`) and a before/during/after resource
 //! delta report mirroring the shape of the paper's R-claims.
 
 use crate::experiment::ExperimentResult;
-use crate::platform::Tier;
-use crate::workload::{fail_request, FailCause, World};
 use cloudchar_analysis::Resource;
-use cloudchar_simcore::{fault, Engine, FaultEvent, FaultKind, FaultPhase, FaultPlan, FaultTier};
+use cloudchar_simcore::{FaultEvent, FaultKind, FaultPlan, FaultTier};
 
 /// Names of the built-in failure scenarios.
 pub const SCENARIOS: [&str; 3] = ["db-crash", "web-throttle", "noisy-neighbor"];
@@ -90,42 +88,6 @@ pub fn scenario(name: &str, duration_s: f64) -> Option<FaultPlan> {
     Some(FaultPlan {
         name: name.to_string(),
         events,
-    })
-}
-
-/// Interpret one fault transition against the world: platform faults go
-/// through the platform seam, tier errors arm the workload layer, and
-/// work dropped by a crash fails its requests.
-fn apply_world_fault(
-    engine: &mut Engine<World>,
-    world: &mut World,
-    kind: &FaultKind,
-    active: bool,
-) {
-    if let FaultKind::TierErrors { tier, probability } = *kind {
-        world.set_tier_error(Tier::from(tier), if active { probability } else { 0.0 });
-        return;
-    }
-    let dropped = world.platform.apply_fault(kind, active);
-    for (_tier, token) in dropped {
-        fail_request(engine, world, token.0, FailCause::Error);
-    }
-}
-
-/// Install a fault plan into a bootstrapped engine/world pair. Every
-/// inject/clear transition flows through the calendar queue (see
-/// [`fault::install`]), so fault timing is part of the deterministic
-/// event order. Also registers each fault's attribution window with the
-/// fault monitor. Returns the number of events scheduled.
-pub fn install_plan(plan: &FaultPlan, engine: &mut Engine<World>, world: &mut World) -> usize {
-    plan.validate().expect("invalid fault plan");
-    for ev in &plan.events {
-        world
-            .fault_monitor_mut()
-            .push_window(ev.kind.label(), ev.at_s, ev.clear_s());
-    }
-    fault::install(plan, engine, |e, w, _idx, kind, phase| {
-        apply_world_fault(e, w, kind, phase == FaultPhase::Inject);
     })
 }
 

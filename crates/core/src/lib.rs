@@ -53,11 +53,9 @@ pub use compare::{
     r3_nonvirt_vs_virt, r4_physical_percent, ratio_report, RatioReport,
 };
 pub use config::{Deployment, ExperimentConfig};
-pub use experiment::{run, run_opts, run_sharded, run_traced, ExperimentResult, RunOptions};
-pub use faults::{install_plan, scenario, scenario_report, PhaseDelta, ScenarioReport, SCENARIOS};
-pub use fleet::{
-    run_fleet, run_fleet_mode, run_fleet_opts, run_fleet_traced, FleetConfig, FleetMsg, FleetResult,
-};
+pub use experiment::{run, run_opts, ExperimentResult, RunOptions};
+pub use faults::{scenario, scenario_report, PhaseDelta, ScenarioReport, SCENARIOS};
+pub use fleet::{run_fleet, run_fleet_opts, FleetConfig, FleetMsg, FleetResult};
 pub use online::{OnlineBank, OnlineReport, OnlineSnapshot};
 pub use phys::{HostIoPolicy, PhysPlatform};
 pub use platform::{Platform, Tier, TierLoad};

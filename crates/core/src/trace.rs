@@ -3,9 +3,9 @@
 //! The in-memory path keeps every sampled series in a [`SeriesStore`]
 //! and analyzes it after the run; resident memory grows with the run
 //! length. The streaming path persists samples during the run through
-//! [`cloudchar_monitor::ChunkWriter`] (see [`crate::experiment::run_traced`]
-//! and [`crate::fleet::run_fleet_traced`]) and analyzes the on-disk
-//! store afterwards, one decoded chunk at a time:
+//! [`cloudchar_monitor::ChunkWriter`] (see
+//! [`crate::experiment::RunOptions::trace_out`]) and analyzes the
+//! on-disk store afterwards, one decoded chunk at a time:
 //!
 //! * [`TraceDir`] — a run's trace: one `.cctr` file, or a directory of
 //!   them (a fleet writes one file per pod, host labels pre-prefixed

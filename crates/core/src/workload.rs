@@ -1,5 +1,5 @@
-//! The experiment orchestrator: the full request lifecycle of the RUBiS
-//! three-tier system, choreographed over the discrete-event engine.
+//! The three-tier RUBiS request pipeline, choreographed over the
+//! discrete-event engine, and the single-host world that drives it.
 //!
 //! Each client request travels:
 //!
@@ -13,25 +13,41 @@
 //! disk and network phases complete at device-computed times. The same
 //! orchestration runs unchanged over both platforms — the experimental
 //! control the paper's comparison requires.
+//!
+//! The server side is one `Stack`: platform, tier models, in-flight
+//! requests, the web worker queue, the sample sinks and the fault
+//! interpreter. Two hosts embed it. The single-host [`World`] keeps its
+//! clients in the same engine; a fleet pod ([`crate::fleet`]) receives
+//! them over a shard channel. The pipeline's handlers are generic over
+//! `Outcomes`, which says only where a request's terminal outcome
+//! goes, so both topologies run every step from one definition.
+//!
+//! Shard-ownership discipline (lint rule CL013): this code runs inside
+//! fleet pod shards, so nothing here may share state across shards — no
+//! `Arc`, locks, cells, statics or atomics.
 
-use crate::config::ExperimentConfig;
-use crate::online::OnlineBank;
+use crate::config::{Deployment, ExperimentConfig};
+use crate::online::{OnlineBank, OnlineReport};
+use crate::phys::{HostIoPolicy, PhysPlatform};
 use crate::platform::{Platform, Tier, TierLoad};
-use cloudchar_hw::WorkToken;
+use crate::virt::{VirtOptions, VirtPlatform};
+use cloudchar_hw::{ServerSpec, WorkToken};
 use cloudchar_monitor::{
     synthesize_perf_into, synthesize_sysstat_into, ChunkWriter, FaultMonitor, FaultSummary,
-    SampleRow, SeriesStore,
+    SampleRow, SeriesStore, CHUNK_SAMPLES,
 };
 use cloudchar_rubis::interactions::EntityRanges;
 use cloudchar_rubis::{
-    queries_for, ClientCohort, Interaction, InteractionProfile, MySqlServer, Query, RetryDecision,
-    RetryPolicy, WebAppServer,
+    queries_for, ClientCohort, Database, Interaction, InteractionProfile, MySqlServer, Query,
+    RetryDecision, RetryPolicy, WebAppServer,
 };
 use cloudchar_simcore::stats::{LogHistogram, Welford};
 use cloudchar_simcore::{
-    Dist, Engine, EventId, IntMap, Sample, SimDuration, SimRng, SimTime, TimerWheel,
+    fault, Dist, Engine, EventId, FaultKind, FaultPhase, FaultPlan, IntMap, Sample, SimDuration,
+    SimRng, SimTime, TimerWheel,
 };
 use std::collections::VecDeque;
+use std::path::Path;
 
 /// Phase of an in-flight request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +62,11 @@ enum Phase {
 
 /// One in-flight HTTP transaction.
 #[derive(Debug)]
-struct Request {
-    session: u32,
-    interaction: Interaction,
+pub(crate) struct Request {
+    pub(crate) session: u32,
+    /// The session's epoch when the request was issued.
+    pub(crate) epoch: u64,
+    pub(crate) interaction: Interaction,
     profile: InteractionProfile,
     queries: VecDeque<Query>,
     db_bytes: u64,
@@ -59,7 +77,7 @@ struct Request {
     /// Whether a web worker has picked the request up (it then holds the
     /// worker until finish or failure).
     started: bool,
-    /// Pending client-side timeout event (fault-injection runs only).
+    /// Pending client-side timeout event (single-host fault runs only).
     timeout: Option<EventId>,
 }
 
@@ -72,53 +90,62 @@ pub(crate) enum FailCause {
     Timeout,
 }
 
-/// Fault-injection state. For an empty [`cloudchar_simcore::FaultPlan`]
-/// this stays disarmed: no events are scheduled, no RNG is drawn, and the
-/// run is byte-identical to the pre-fault testbed.
-struct FaultState {
-    /// Armed only when the configured plan is non-empty.
-    enabled: bool,
-    /// Dedicated stream so fault coin-flips never perturb the workload.
-    rng: SimRng,
-    policy: RetryPolicy,
-    monitor: FaultMonitor,
-    /// Active injected error probability per tier (`[web, db]`).
-    tier_error_p: [f64; 2],
+/// Where a request's terminal outcome goes: the one thing the host of a
+/// [`Stack`] decides. Every pipeline step is generic over it.
+pub(crate) trait Outcomes: Sized + 'static {
+    /// The server stack this host embeds.
+    fn stack(&mut self) -> &mut Stack;
+    /// The response to `req` has reached its client.
+    fn served(engine: &mut Engine<Self>, host: &mut Self, req: Request);
+    /// `req` failed (its worker or queue slot is already released).
+    fn failed(engine: &mut Engine<Self>, host: &mut Self, req: Request, cause: FailCause);
+    /// Sampling-tick hook, run before the hosts are sampled.
+    fn on_sample(&mut self) {}
 }
 
-/// The simulation world: platform + application models + monitors.
-pub struct World {
+/// The RNG lanes a [`Stack`] draws from.
+pub(crate) struct Lanes {
+    /// Database generation.
+    pub(crate) db: SimRng,
+    /// Platform devices and schedulers.
+    pub(crate) platform: SimRng,
+    /// Request contents and service demands.
+    pub(crate) workload: SimRng,
+    /// Fault coin flips, kept apart so they never perturb the workload.
+    pub(crate) faults: SimRng,
+}
+
+/// The server side of one RUBiS deployment: the platform, both tier
+/// models, the in-flight request table, the web worker queue, and the
+/// sample sinks.
+pub(crate) struct Stack {
     /// The deployment substrate.
-    pub platform: Platform,
+    pub(crate) platform: Platform,
     /// Apache + PHP tier model.
-    pub web: WebAppServer,
+    pub(crate) web: WebAppServer,
     /// MySQL tier model.
-    pub mysql: MySqlServer,
-    /// Emulated client population, stored column-wise.
-    pub clients: ClientCohort,
-    /// Sampled metric series.
-    pub store: SeriesStore,
-    /// Requests completed end-to-end.
-    pub completed: u64,
-    /// End-to-end response-time statistics (seconds).
-    pub response_time: Welford,
-    /// Response-time histogram for percentile extraction (1 µs – 300 s).
-    pub response_hist: LogHistogram,
-    /// Per-interaction completion counts (transaction-level view),
-    /// indexed by [`Interaction::index`].
-    pub interaction_counts: Vec<u64>,
-    /// Per-interaction response-time accumulators (seconds).
-    pub interaction_latency: Vec<Welford>,
-    cfg: ExperimentConfig,
+    pub(crate) mysql: MySqlServer,
+    /// Sampled metric series (empty of series while a trace is armed).
+    pub(crate) store: SeriesStore,
+    /// Workload lane: request contents, service demands, and (on a
+    /// single host) the clients' think times.
     rng: SimRng,
-    /// Batched think-timer wakeups: one engine event per armed bucket
-    /// instead of one per client (see [`cloudchar_simcore::wheel`]).
-    wheel: TimerWheel,
-    faults: FaultState,
+    /// Fault lane: tier-error coin flips and (on a single host) the
+    /// clients' retry backoff.
+    fault_rng: SimRng,
+    /// Armed only when this stack carries a non-empty fault plan. For
+    /// an empty plan no events are scheduled and no RNG is drawn.
+    faults_enabled: bool,
+    /// Active injected error probability per tier (`[web, db]`).
+    tier_error_p: [f64; 2],
     inflight: IntMap<u64, Request>,
     pending_web: VecDeque<u64>,
     next_req: u64,
     tcp_opened: u64,
+    /// Sessions this stack serves (caps the PHP session-state estimate).
+    sessions: u32,
+    sample_interval: SimDuration,
+    end: SimTime,
     completions_scratch: Vec<(Tier, WorkToken)>,
     sample_row: SampleRow,
     /// Streaming trace writer: when armed, sampled rows spill to disk
@@ -126,7 +153,7 @@ pub struct World {
     trace: Option<ChunkWriter>,
     /// First I/O error hit by the trace writer, deferred because the
     /// sampling tick runs inside an engine callback that cannot return
-    /// `Result`; surfaced by [`World::take_trace`].
+    /// `Result`; surfaced by [`Stack::detach_sinks`].
     trace_err: Option<std::io::Error>,
     /// Live sliding-window profilers: when armed, every sampled row
     /// also feeds the per-host online characterization (composes with
@@ -134,46 +161,68 @@ pub struct World {
     online: Option<OnlineBank>,
 }
 
-impl World {
-    /// Assemble a world (platform and models are built by
-    /// [`crate::experiment::run`]).
-    pub fn new(
-        cfg: ExperimentConfig,
-        platform: Platform,
-        web: WebAppServer,
-        mysql: MySqlServer,
-        clients: ClientCohort,
-        rng: SimRng,
-        fault_rng: SimRng,
-    ) -> Self {
-        let faults = FaultState {
-            enabled: !cfg.faults.is_empty(),
-            rng: fault_rng,
-            policy: RetryPolicy::default(),
-            monitor: FaultMonitor::new(),
-            tier_error_p: [0.0, 0.0],
-        };
-        World {
-            platform,
-            web,
-            mysql,
-            clients,
-            store: SeriesStore::with_expected_samples(cfg.sample_count()),
-            completed: 0,
-            response_time: Welford::new(),
-            response_hist: LogHistogram::new(1e-6, 300.0, 10),
-            interaction_counts: vec![0; Interaction::ALL.len()],
-            interaction_latency: vec![Welford::new(); Interaction::ALL.len()],
-            cfg,
-            rng,
-            // 256 one-second buckets: a 256 s horizon, comfortably above
-            // the longest delay ever armed (the 120 s think-time cap).
-            wheel: TimerWheel::new(SimDuration::from_secs(1), 256),
+/// The paper's server spec with failure-injected disk degradation.
+fn degraded_spec(factor: f64) -> ServerSpec {
+    let mut spec = ServerSpec::hp_proliant();
+    if factor > 1.0 {
+        spec.disk.bandwidth = (spec.disk.bandwidth as f64 / factor) as u64;
+        spec.disk.positioning = spec.disk.positioning.mul_f64(factor);
+        spec.disk.sequential_positioning = spec.disk.sequential_positioning.mul_f64(factor);
+    }
+    spec
+}
+
+impl Stack {
+    /// Build the server side of `cfg`'s deployment for `sessions`
+    /// clients: platform, a warm database, and the web tier. `faulty`
+    /// says whether this stack receives `cfg.faults`.
+    pub(crate) fn new(cfg: &ExperimentConfig, lanes: Lanes, sessions: u32, faulty: bool) -> Stack {
+        let Lanes {
+            db: mut db_rng,
+            platform: platform_rng,
+            workload,
             faults,
+        } = lanes;
+        let spec = degraded_spec(cfg.disk_degradation);
+        let db = Database::generate(cfg.db_scale, &mut db_rng);
+        let mut mysql = MySqlServer::new(db, cfg.mysql);
+        // The paper measures a warm database; leave some cold tail so the
+        // early-run read decay of Figure 3 remains visible.
+        mysql.prewarm(0.6);
+        let platform = match cfg.deployment {
+            Deployment::Virtualized => Platform::Virt(Box::new(VirtPlatform::new(
+                spec,
+                VirtOptions {
+                    overhead: cfg.overhead,
+                    vm_cap_percent: cfg.vm_cap_percent,
+                    background_vms: cfg.background_vms,
+                    background_util: cfg.background_util,
+                    background_iops: cfg.background_iops,
+                },
+                platform_rng,
+            ))),
+            Deployment::NonVirtualized => Platform::Phys(Box::new(PhysPlatform::new(
+                spec,
+                HostIoPolicy::default(),
+                platform_rng,
+            ))),
+        };
+        Stack {
+            platform,
+            web: WebAppServer::new(cfg.web),
+            mysql,
+            store: SeriesStore::with_expected_samples(cfg.sample_count()),
+            rng: workload,
+            fault_rng: faults,
+            faults_enabled: faulty && !cfg.faults.is_empty(),
+            tier_error_p: [0.0, 0.0],
             inflight: IntMap::default(),
             pending_web: VecDeque::new(),
             next_req: 0,
             tcp_opened: 0,
+            sessions,
+            sample_interval: cfg.sample_interval,
+            end: cfg.end_time(),
             completions_scratch: Vec::new(),
             sample_row: SampleRow::with_capacity(cloudchar_monitor::TOTAL_METRICS),
             trace: None,
@@ -182,59 +231,33 @@ impl World {
         }
     }
 
-    /// Arm trace spilling: sampled rows go to `writer` (sealed chunks
-    /// land on disk) and the in-memory `store` stays empty of series.
-    pub fn set_trace_writer(&mut self, writer: ChunkWriter) {
-        self.trace = Some(writer);
+    /// Arm the optional sample sinks: a chunked trace at `trace`'s path,
+    /// host labels prefixed with its second element, takes the sampled
+    /// rows instead of `store`; an online bank over `online_window`
+    /// samples observes every row.
+    pub(crate) fn attach_sinks(
+        &mut self,
+        trace: Option<(&Path, &str)>,
+        online_window: Option<usize>,
+    ) -> std::io::Result<()> {
+        if let Some((path, prefix)) = trace {
+            self.trace = Some(ChunkWriter::create(path, prefix, CHUNK_SAMPLES)?);
+        }
+        let dt_s = self.sample_interval.as_secs_f64();
+        self.online = online_window.map(|w| OnlineBank::new(w, dt_s));
+        Ok(())
     }
 
-    /// Disarm tracing, returning the writer (so the caller can
-    /// `finish` it) and any I/O error the sampling tick deferred.
-    pub fn take_trace(&mut self) -> (Option<ChunkWriter>, Option<std::io::Error>) {
-        (self.trace.take(), self.trace_err.take())
-    }
-
-    /// Arm live online characterization: every sampled row also feeds
-    /// the bank's per-host sliding-window profilers.
-    pub fn set_online(&mut self, bank: OnlineBank) {
-        self.online = Some(bank);
-    }
-
-    /// Disarm online characterization, returning the bank so the caller
-    /// can `finish` it into an [`crate::online::OnlineReport`].
-    pub fn take_online(&mut self) -> Option<OnlineBank> {
-        self.online.take()
-    }
-
-    /// Requests currently in flight (for tests).
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Whether fault injection is armed (non-empty plan).
-    pub(crate) fn faults_enabled(&self) -> bool {
-        self.faults.enabled
-    }
-
-    /// Set the injected application-error probability of a tier.
-    pub(crate) fn set_tier_error(&mut self, tier: Tier, p: f64) {
-        let idx = match tier {
-            Tier::Web => 0,
-            Tier::Db => 1,
-        };
-        self.faults.tier_error_p[idx] = p;
-    }
-
-    /// The fault-metric collector (attribution windows, outcome counts).
-    pub(crate) fn fault_monitor_mut(&mut self) -> &mut FaultMonitor {
-        &mut self.faults.monitor
-    }
-
-    /// End-of-run fault observability record.
-    pub(crate) fn fault_summary(&self) -> FaultSummary {
-        self.faults
-            .monitor
-            .summary(&self.cfg.faults.name, self.cfg.faults.fingerprint())
+    /// Disarm the sinks: seal the trace (surfacing any I/O error the
+    /// sampling tick deferred) and close the online bank into its report.
+    pub(crate) fn detach_sinks(&mut self) -> std::io::Result<Option<OnlineReport>> {
+        if let Some(e) = self.trace_err.take() {
+            return Err(e);
+        }
+        if let Some(mut w) = self.trace.take() {
+            w.finish()?;
+        }
+        Ok(self.online.take().map(OnlineBank::finish))
     }
 
     fn ranges(&self) -> EntityRanges {
@@ -247,44 +270,516 @@ impl World {
             regions: scale.regions,
         }
     }
+
+    /// Injected-error coin flip for `tier` (fault runs only).
+    fn tier_fails(&mut self, tier: Tier) -> bool {
+        if !self.platform.tier_up(tier) {
+            return true;
+        }
+        let p = self.tier_error_p[tier_index(tier)];
+        p > 0.0 && self.fault_rng.chance(p)
+    }
 }
 
-/// Install every initial event: staggered client starts, scheduler
-/// quanta, housekeeping and sampling.
-pub fn bootstrap(engine: &mut Engine<World>, world: &mut World) {
-    let end = world.cfg.end_time();
+fn tier_index(tier: Tier) -> usize {
+    match tier {
+        Tier::Web => 0,
+        Tier::Db => 1,
+    }
+}
+
+/// Schedule the server's own events: the scheduler quantum, 1 s
+/// housekeeping and the sampling tick, each until the end of the run,
+/// then the inject/clear events of `plan` when this stack carries
+/// faults. Call after the host has scheduled its own start-up events.
+pub(crate) fn start<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, plan: &FaultPlan) {
+    let stack = host.stack();
+    let end = stack.end;
+    let quantum = stack.platform.quantum();
+    engine.schedule_periodic(SimTime::ZERO + quantum, quantum, move |e, h| {
+        let s = h.stack();
+        let mut done = std::mem::take(&mut s.completions_scratch);
+        done.clear();
+        s.platform.tick(e.now(), quantum, &mut done);
+        for (tier, token) in done.drain(..) {
+            on_cpu_complete(e, h, tier, token);
+        }
+        h.stack().completions_scratch = done;
+        e.now() < end
+    });
+    let second = SimDuration::from_secs(1);
+    engine.schedule_periodic(SimTime::ZERO + second, second, move |e, h| {
+        housekeeping(e.now(), h.stack());
+        e.now() < end
+    });
+    let interval = stack.sample_interval;
+    engine.schedule_periodic(SimTime::ZERO + interval, interval, move |e, h| {
+        h.on_sample();
+        take_sample(h.stack());
+        e.now() < end
+    });
+    if stack.faults_enabled {
+        // The plan was validated with its configuration.
+        fault::install(plan, engine, |e, h, _idx, kind, phase| {
+            apply_fault(e, h, kind, phase == FaultPhase::Inject);
+        });
+    }
+}
+
+/// Interpret one fault transition: tier errors arm the per-tier error
+/// probability, platform faults go through the platform seam, and work
+/// dropped by a crash fails its requests.
+fn apply_fault<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, kind: &FaultKind, active: bool) {
+    if let FaultKind::TierErrors { tier, probability } = *kind {
+        host.stack().tier_error_p[tier_index(Tier::from(tier))] =
+            if active { probability } else { 0.0 };
+        return;
+    }
+    let dropped = host.stack().platform.apply_fault(kind, active);
+    for (_tier, token) in dropped {
+        fail_request(engine, host, token.0, FailCause::Error);
+    }
+}
+
+/// Accept a request from `session` at `now`: draw its queries and
+/// request size, open its connection, and send it to the web tier.
+/// Returns the request id.
+pub(crate) fn admit<H: Outcomes>(
+    engine: &mut Engine<H>,
+    host: &mut H,
+    now: SimTime,
+    session: u32,
+    epoch: u64,
+    interaction: Interaction,
+) -> u64 {
+    let s = host.stack();
+    let profile = InteractionProfile::of(interaction);
+    let ranges = s.ranges();
+    let queries: VecDeque<Query> = queries_for(interaction, ranges, &mut s.rng)
+        .into_iter()
+        .collect();
+    let req_bytes = profile.sample_request_bytes(&mut s.rng);
+    let id = s.next_req;
+    s.next_req += 1;
+    s.inflight.insert(
+        id,
+        Request {
+            session,
+            epoch,
+            interaction,
+            profile,
+            queries,
+            db_bytes: 0,
+            last_db_resp: 0,
+            io_barrier: SimTime::ZERO,
+            issued: now,
+            phase: Phase::WebScript,
+            started: false,
+            timeout: None,
+        },
+    );
+    s.tcp_opened += 1;
+    let arrive = s.platform.net_client_to_web(now, req_bytes);
+    engine.schedule_at(arrive, move |e, h| web_arrival(e, h, id));
+    id
+}
+
+fn web_arrival<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
+    let s = host.stack();
+    if !s.inflight.contains_key(&id) {
+        return; // request already failed (timeout) while in transit
+    }
+    if s.faults_enabled && s.tier_fails(Tier::Web) {
+        fail_request(engine, host, id, FailCause::Error);
+        return;
+    }
+    if s.web.on_arrival() {
+        start_script(s, id);
+    } else {
+        s.pending_web.push_back(id);
+    }
+}
+
+/// A web worker picks the request up; its CPU completion arrives via
+/// the quantum tick.
+fn start_script(s: &mut Stack, id: u64) {
+    let req = s.inflight.get_mut(&id).expect("request exists");
+    req.phase = Phase::WebScript;
+    req.started = true;
+    let cycles = req.profile.sample_script_cycles(&mut s.rng);
+    s.mysql.connections = s.web.busy();
+    s.platform.submit_work(Tier::Web, WorkToken(id), cycles);
+}
+
+fn on_cpu_complete<H: Outcomes>(
+    engine: &mut Engine<H>,
+    host: &mut H,
+    tier: Tier,
+    token: WorkToken,
+) {
+    let id = token.0;
+    let s = host.stack();
+    let Some(req) = s.inflight.get_mut(&id) else {
+        return; // request already failed; its work was dropped
+    };
+    match (tier, req.phase) {
+        (Tier::Web, Phase::WebScript) => next_query(engine, s, id),
+        (Tier::Db, Phase::DbCpu) => {
+            let barrier = req.io_barrier.max(engine.now());
+            engine.schedule_at(barrier, move |e, h| db_respond(e, h, id));
+        }
+        (Tier::Web, Phase::WebRender) => finish_request(engine, s, id),
+        (t, p) => panic!("completion {t:?} in phase {p:?} for request {id}"),
+    }
+}
+
+/// Send the request's next query to the DB tier, or start rendering
+/// once every query has returned.
+fn next_query<H: Outcomes>(engine: &mut Engine<H>, s: &mut Stack, id: u64) {
+    let req = s.inflight.get_mut(&id).expect("request exists");
+    match req.queries.pop_front() {
+        Some(q) => {
+            // MySQL wire protocol request: ~90 bytes + parameters.
+            let bytes = 90 + s.rng.below(50);
+            let arrive = s.platform.net_web_db(engine.now(), true, bytes);
+            engine.schedule_at(arrive, move |e, h| db_execute(e, h, id, q));
+        }
+        None => {
+            req.phase = Phase::WebRender;
+            let resp = req.profile.response_bytes(req.db_bytes);
+            let cycles = s.web.connection_cycles(resp);
+            s.platform.submit_work(Tier::Web, WorkToken(id), cycles);
+        }
+    }
+}
+
+fn db_execute<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64, q: Query) {
+    let s = host.stack();
+    if !s.inflight.contains_key(&id) {
+        return; // request already failed while the query was in transit
+    }
+    if s.faults_enabled && s.tier_fails(Tier::Db) {
+        fail_request(engine, host, id, FailCause::Error);
+        return;
+    }
+    let now = engine.now();
+    let work = s.mysql.execute(q, now.as_secs_f64() as u32);
+    let mut barrier = now;
+    for io in work.ios {
+        barrier = barrier.max(s.platform.disk_io(now, Tier::Db, *io));
+    }
+    let req = s.inflight.get_mut(&id).expect("request exists");
+    req.phase = Phase::DbCpu;
+    req.io_barrier = barrier;
+    req.db_bytes += work.response_bytes;
+    req.last_db_resp = work.response_bytes;
+    s.platform
+        .submit_work(Tier::Db, WorkToken(id), work.cpu_cycles);
+}
+
+fn db_respond<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
+    let s = host.stack();
+    let Some(req) = s.inflight.get(&id) else {
+        return;
+    };
+    // Protocol framing on top of row data.
+    let resp = req.last_db_resp + 30;
+    let arrive = s.platform.net_web_db(engine.now(), false, resp);
+    engine.schedule_at(arrive, move |e, h| {
+        let s = h.stack();
+        if s.inflight.contains_key(&id) {
+            next_query(e, s, id);
+        }
+    });
+}
+
+/// The render finished: the worker writes the PHP session file, frees
+/// up, and the response travels back to the client.
+fn finish_request<H: Outcomes>(engine: &mut Engine<H>, s: &mut Stack, id: u64) {
+    let req = s.inflight.get(&id).expect("request exists");
+    let resp_bytes = req.profile.response_bytes(req.db_bytes);
+    let io = s.web.session_write();
+    s.platform.disk_io(engine.now(), Tier::Web, io);
+    release_worker(s);
+    let delivered = s.platform.net_web_to_client(engine.now(), resp_bytes);
+    engine.schedule_at(delivered, move |e, h| {
+        // A request that failed meanwhile (client timeout) already
+        // handed its session to the retry path; its late delivery is
+        // dropped.
+        if let Some(req) = h.stack().inflight.remove(&id) {
+            H::served(e, h, req);
+        }
+    });
+}
+
+/// A worker frees up: hand it to the next queued request, if any.
+fn release_worker(s: &mut Stack) {
+    s.web.on_finish();
+    if s.web.try_dequeue() {
+        let next = s
+            .pending_web
+            .pop_front()
+            .expect("queued count matches pending list");
+        start_script(s, next);
+    }
+}
+
+/// Fail an in-flight request (injected error, crashed tier, dropped
+/// work, client timeout): release its worker or queue slot and report
+/// the failure to the host. No-op if the request already ended.
+pub(crate) fn fail_request<H: Outcomes>(
+    engine: &mut Engine<H>,
+    host: &mut H,
+    id: u64,
+    cause: FailCause,
+) {
+    let s = host.stack();
+    let Some(req) = s.inflight.remove(&id) else {
+        return;
+    };
+    if req.started {
+        release_worker(s);
+    } else if let Some(pos) = s.pending_web.iter().position(|&x| x == id) {
+        // Failed while still waiting for a worker.
+        s.pending_web.remove(pos);
+        s.web.drop_queued();
+    }
+    H::failed(engine, host, req, cause);
+}
+
+fn housekeeping(now: SimTime, s: &mut Stack) {
+    s.web.manage_pool(now);
+    if let Some(io) = s.web.flush_log() {
+        s.platform.disk_io(now, Tier::Web, io);
+    }
+    if let Some(io) = s.mysql.log_flush() {
+        s.platform.disk_io(now, Tier::Db, io);
+    }
+    s.platform.periodic(now);
+    let web_mem = s.web.memory_bytes();
+    let db_mem = s.mysql.memory_bytes();
+    s.platform.set_tier_memory(Tier::Web, web_mem);
+    s.platform.set_tier_memory(Tier::Db, db_mem);
+    // PHP session state accumulates as clients interact; cap at the
+    // population (sessions are reused in the closed loop).
+    s.web.tracked_sessions = s
+        .web
+        .tracked_sessions
+        .max((s.next_req.min(u64::from(s.sessions))) as u32);
+    s.mysql.connections = s.web.busy();
+}
+
+fn take_sample(s: &mut Stack) {
+    let dt = s.sample_interval;
+    let web_load = TierLoad {
+        runq: f64::from(s.web.busy()).min(16.0) * 0.25 + 1.0,
+        nproc: f64::from(s.web.workers()) + 70.0,
+        blocked: f64::from(s.web.queued()).min(12.0) * 0.25,
+        tcp_active: s.tcp_opened as f64,
+        tcp_sockets: f64::from(s.web.busy() + s.web.queued()) + 8.0,
+        forks: 0.2,
+    };
+    let db_load = TierLoad {
+        runq: 1.0 + f64::from(s.mysql.connections).min(8.0) * 0.2,
+        nproc: 30.0 + f64::from(s.mysql.connections),
+        blocked: 0.5,
+        tcp_active: s.tcp_opened as f64 * 1.5, // queries reopen
+        tcp_sockets: f64::from(s.mysql.connections) + 4.0,
+        forks: 0.0,
+    };
+    s.tcp_opened = 0;
+    let start = SimTime::ZERO + dt;
+    let samples = s.platform.sample_hosts(dt, web_load, db_load);
+    for host in samples {
+        // One reusable row per host per tick: synthesis appends by
+        // cached layout ids, then the whole row commits in one call —
+        // no string keys, no map probes, no steady-state allocation.
+        s.sample_row.clear();
+        synthesize_sysstat_into(&host.raw, host.sysstat_source, &mut s.sample_row);
+        if host.has_perf {
+            synthesize_perf_into(&host.raw, &mut s.sample_row);
+        }
+        if let Some(bank) = s.online.as_mut() {
+            // Online profiling observes the row before it is routed, so
+            // it composes with both sinks and perturbs neither.
+            bank.record(host.host, &s.sample_row);
+        }
+        if let Some(writer) = s.trace.as_mut() {
+            let id = writer.host_id(host.host);
+            if let Err(e) = writer.record_row(id, start, dt, &s.sample_row) {
+                // Deferred: the tick can't return Result through the
+                // engine. Disarm so one bad disk reports one error.
+                if s.trace_err.is_none() {
+                    s.trace_err = Some(e);
+                }
+                s.trace = None;
+            }
+        } else {
+            let id = s.store.host_id(host.host);
+            s.store.record_row(id, start, dt, &s.sample_row);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The single-host world: clients in the same engine as the server
+// ---------------------------------------------------------------------
+
+/// The single-host simulation world: one server stack plus the
+/// emulated client population, its think timers and the end-to-end
+/// latency and availability accounting.
+pub struct World {
+    /// The server side: platform, tier models, in-flight requests and
+    /// sample sinks.
+    pub(crate) stack: Stack,
+    /// Emulated client population, stored column-wise.
+    pub clients: ClientCohort,
+    /// Requests completed end-to-end.
+    pub completed: u64,
+    /// End-to-end response-time statistics (seconds).
+    pub response_time: Welford,
+    /// Response-time histogram for percentile extraction (1 µs – 300 s).
+    pub response_hist: LogHistogram,
+    /// Per-interaction completion counts (transaction-level view),
+    /// indexed by [`Interaction::index`].
+    pub interaction_counts: Vec<u64>,
+    /// Per-interaction response-time accumulators (seconds).
+    pub interaction_latency: Vec<Welford>,
+    cfg: ExperimentConfig,
+    /// Batched think-timer wakeups: one engine event per armed bucket
+    /// instead of one per client (see [`cloudchar_simcore::wheel`]).
+    wheel: TimerWheel,
+    policy: RetryPolicy,
+    /// Fault-metric collector (attribution windows, outcome counts).
+    monitor: FaultMonitor,
+}
+
+impl World {
+    /// Assemble a world around its server stack and clients (both built
+    /// by [`crate::experiment::run_opts`]).
+    pub(crate) fn new(cfg: ExperimentConfig, stack: Stack, clients: ClientCohort) -> Self {
+        let mut monitor = FaultMonitor::new();
+        if stack.faults_enabled {
+            for ev in &cfg.faults.events {
+                monitor.push_window(ev.kind.label(), ev.at_s, ev.clear_s());
+            }
+        }
+        World {
+            stack,
+            clients,
+            completed: 0,
+            response_time: Welford::new(),
+            response_hist: LogHistogram::new(1e-6, 300.0, 10),
+            interaction_counts: vec![0; Interaction::ALL.len()],
+            interaction_latency: vec![Welford::new(); Interaction::ALL.len()],
+            cfg,
+            // 256 one-second buckets: a 256 s horizon, comfortably above
+            // the longest delay ever armed (the 120 s think-time cap).
+            wheel: TimerWheel::new(SimDuration::from_secs(1), 256),
+            policy: RetryPolicy::default(),
+            monitor,
+        }
+    }
+
+    /// Requests currently in flight (for tests).
+    pub fn inflight_count(&self) -> usize {
+        self.stack.inflight.len()
+    }
+
+    /// End-of-run fault observability record; `None` for fault-free
+    /// runs.
+    pub(crate) fn fault_summary(&self) -> Option<FaultSummary> {
+        self.stack.faults_enabled.then(|| {
+            self.monitor
+                .summary(&self.cfg.faults.name, self.cfg.faults.fingerprint())
+        })
+    }
+}
+
+impl Outcomes for World {
+    fn stack(&mut self) -> &mut Stack {
+        &mut self.stack
+    }
+
+    fn served(engine: &mut Engine<World>, world: &mut World, req: Request) {
+        world.completed += 1;
+        let latency = engine.now().duration_since(req.issued).as_secs_f64();
+        world.response_time.push(latency);
+        world.response_hist.push(latency);
+        let idx = req.interaction.index();
+        world.interaction_counts[idx] += 1;
+        world.interaction_latency[idx].push(latency);
+        let session = req.session;
+        if world.stack.faults_enabled {
+            if let Some(ev) = req.timeout {
+                engine.cancel(ev);
+            }
+            world.monitor.record_ok();
+            world.clients.on_success(session);
+        }
+        world.clients.advance(session, &mut world.stack.rng);
+        if engine.now() >= world.cfg.end_time() {
+            return;
+        }
+        let think = world.clients.think_time(session, &mut world.stack.rng);
+        let at = engine.now() + think;
+        arm_wake(engine, world, session, at);
+    }
+
+    fn failed(engine: &mut Engine<World>, world: &mut World, req: Request, cause: FailCause) {
+        if let Some(ev) = req.timeout {
+            engine.cancel(ev);
+        }
+        match cause {
+            FailCause::Error => world.monitor.record_error(),
+            FailCause::Timeout => world.monitor.record_timeout(),
+        }
+        let session = req.session;
+        let decision = world
+            .clients
+            .on_failure(session, &world.policy, &mut world.stack.fault_rng);
+        let pause = match decision {
+            RetryDecision::RetryAfter(d) => {
+                world.monitor.record_retry();
+                d
+            }
+            RetryDecision::Abandon(d) => {
+                world.monitor.record_abandon();
+                d
+            }
+        };
+        if engine.now() >= world.cfg.end_time() {
+            return;
+        }
+        // Invalidate anything still armed for this session before
+        // resuming it: the retry wake must be the only one that can fire.
+        world.clients.bump_epoch(session);
+        let at = engine.now() + pause;
+        arm_wake(engine, world, session, at);
+    }
+
+    fn on_sample(&mut self) {
+        if self.stack.faults_enabled {
+            // Same cadence as the catalog series: one availability /
+            // error-rate / retry point per sampling interval.
+            self.monitor.sample();
+        }
+    }
+}
+
+/// Install every initial event: staggered client starts, then the
+/// server's quanta, housekeeping, sampling and fault plan.
+pub(crate) fn bootstrap(engine: &mut Engine<World>, world: &mut World) {
     // Staggered session starts, armed on the timer wheel: the offsets
     // draw from the RNG exactly as the per-client path did, but the
     // engine only sees one event per wheel bucket.
     let ramp = world.cfg.rampup.as_secs_f64().max(0.001);
     for session in 0..world.cfg.clients {
-        let offset = Dist::Uniform { lo: 0.0, hi: ramp }.sample(&mut world.rng);
+        let offset = Dist::Uniform { lo: 0.0, hi: ramp }.sample(&mut world.stack.rng);
         arm_wake(engine, world, session, SimTime::from_secs_f64(offset));
     }
-    // Scheduler quantum.
-    let quantum = world.platform.quantum();
-    engine.schedule_periodic(SimTime::ZERO + quantum, quantum, move |e, w| {
-        let mut done = std::mem::take(&mut w.completions_scratch);
-        done.clear();
-        w.platform.tick(e.now(), quantum, &mut done);
-        for (tier, token) in done.drain(..) {
-            on_cpu_complete(e, w, tier, token);
-        }
-        w.completions_scratch = done;
-        e.now() < end
-    });
-    // Housekeeping (1 s).
-    let second = cloudchar_simcore::SimDuration::from_secs(1);
-    engine.schedule_periodic(SimTime::ZERO + second, second, move |e, w| {
-        housekeeping(e, w);
-        e.now() < end
-    });
-    // Sampling (2 s).
-    let interval = world.cfg.sample_interval;
-    engine.schedule_periodic(SimTime::ZERO + interval, interval, move |e, w| {
-        take_sample(e, w);
-        e.now() < end
-    });
+    let plan = world.cfg.faults.clone();
+    start(engine, world, &plan);
 }
 
 /// Arm `session`'s next wakeup (initial start, think time, retry
@@ -331,41 +826,18 @@ fn wheel_fire(engine: &mut Engine<World>, world: &mut World, slot: usize) {
 }
 
 fn fire_request(engine: &mut Engine<World>, world: &mut World, session: u32) {
-    if engine.now() >= world.cfg.end_time() {
+    let now = engine.now();
+    if now >= world.cfg.end_time() {
         return;
     }
     let interaction = world.clients.current_interaction(session);
-    let profile = InteractionProfile::of(interaction);
-    let ranges = world.ranges();
-    let queries: VecDeque<Query> = queries_for(interaction, ranges, &mut world.rng)
-        .into_iter()
-        .collect();
-    let req_bytes = profile.sample_request_bytes(&mut world.rng);
-    let id = world.next_req;
-    world.next_req += 1;
-    world.inflight.insert(
-        id,
-        Request {
-            session,
-            interaction,
-            profile,
-            queries,
-            db_bytes: 0,
-            last_db_resp: 0,
-            io_barrier: SimTime::ZERO,
-            issued: engine.now(),
-            phase: Phase::WebScript,
-            started: false,
-            timeout: None,
-        },
-    );
-    world.tcp_opened += 1;
-    let arrive = world.platform.net_client_to_web(engine.now(), req_bytes);
-    engine.schedule_at(arrive, move |e, w| web_arrival(e, w, id));
-    if world.faults.enabled {
-        let wait = SimDuration::from_secs_f64(world.faults.policy.timeout_s);
+    let epoch = world.clients.epoch(session);
+    let id = admit(engine, world, now, session, epoch, interaction);
+    if world.stack.faults_enabled {
+        let wait = SimDuration::from_secs_f64(world.policy.timeout_s);
         let ev = engine.schedule_in(wait, move |e, w| request_timeout(e, w, id));
         world
+            .stack
             .inflight
             .get_mut(&id)
             .expect("request just inserted")
@@ -373,367 +845,19 @@ fn fire_request(engine: &mut Engine<World>, world: &mut World, session: u32) {
     }
 }
 
-fn web_arrival(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    if !world.inflight.contains_key(&id) {
-        return; // request already failed (timeout) while in transit
-    }
-    if world.faults.enabled {
-        if !world.platform.tier_up(Tier::Web) {
-            fail_request(engine, world, id, FailCause::Error);
-            return;
-        }
-        let p = world.faults.tier_error_p[0];
-        if p > 0.0 && world.faults.rng.chance(p) {
-            fail_request(engine, world, id, FailCause::Error);
-            return;
-        }
-    }
-    if world.web.on_arrival() {
-        start_script(engine, world, id);
-    } else {
-        world.pending_web.push_back(id);
-    }
-}
-
-fn start_script(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    let cycles = {
-        let req = world.inflight.get_mut(&id).expect("request exists");
-        req.phase = Phase::WebScript;
-        req.started = true;
-        req.profile.sample_script_cycles(&mut world.rng)
-    };
-    world.mysql.connections = world.web.busy();
-    world.platform.submit_work(Tier::Web, WorkToken(id), cycles);
-    let _ = engine; // CPU completion arrives via the quantum tick
-}
-
-fn on_cpu_complete(engine: &mut Engine<World>, world: &mut World, tier: Tier, token: WorkToken) {
-    let id = token.0;
-    let Some(req) = world.inflight.get(&id) else {
-        return; // request already finished (defensive)
-    };
-    match (tier, req.phase) {
-        (Tier::Web, Phase::WebScript) => {
-            if let Some(q) = world
-                .inflight
-                .get_mut(&id)
-                .expect("request exists")
-                .queries
-                .pop_front()
-            {
-                send_query(engine, world, id, q);
-            } else {
-                start_render(engine, world, id);
-            }
-        }
-        (Tier::Db, Phase::DbCpu) => {
-            let barrier = req.io_barrier.max(engine.now());
-            engine.schedule_at(barrier, move |e, w| db_respond(e, w, id));
-        }
-        (Tier::Web, Phase::WebRender) => {
-            finish_request(engine, world, id);
-        }
-        (t, p) => panic!("completion {t:?} in phase {p:?} for request {id}"),
-    }
-}
-
-fn send_query(engine: &mut Engine<World>, world: &mut World, id: u64, q: Query) {
-    // MySQL wire protocol request: ~90 bytes + parameters.
-    let bytes = 90 + (world.rng.below(50));
-    let arrive = world.platform.net_web_db(engine.now(), true, bytes);
-    engine.schedule_at(arrive, move |e, w| db_execute(e, w, id, q));
-}
-
-fn db_execute(engine: &mut Engine<World>, world: &mut World, id: u64, q: Query) {
-    if !world.inflight.contains_key(&id) {
-        return; // request already failed while the query was in transit
-    }
-    if world.faults.enabled {
-        if !world.platform.tier_up(Tier::Db) {
-            fail_request(engine, world, id, FailCause::Error);
-            return;
-        }
-        let p = world.faults.tier_error_p[1];
-        if p > 0.0 && world.faults.rng.chance(p) {
-            fail_request(engine, world, id, FailCause::Error);
-            return;
-        }
-    }
-    let now_s = engine.now().as_secs_f64() as u32;
-    let work = world.mysql.execute(q, now_s);
-    let mut barrier = engine.now();
-    for io in work.ios {
-        let done = world.platform.disk_io(engine.now(), Tier::Db, *io);
-        barrier = barrier.max(done);
-    }
-    {
-        let req = world.inflight.get_mut(&id).expect("request exists");
-        req.phase = Phase::DbCpu;
-        req.io_barrier = barrier;
-        req.db_bytes += work.response_bytes;
-        req.last_db_resp = work.response_bytes;
-    }
-    world
-        .platform
-        .submit_work(Tier::Db, WorkToken(id), work.cpu_cycles);
-}
-
-fn db_respond(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    let resp = {
-        let Some(req) = world.inflight.get(&id) else {
-            return;
-        };
-        // Protocol framing on top of row data.
-        req.last_db_resp + 30
-    };
-    let arrive = world.platform.net_web_db(engine.now(), false, resp);
-    engine.schedule_at(arrive, move |e, w| web_query_return(e, w, id));
-}
-
-fn web_query_return(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    let next = {
-        let Some(req) = world.inflight.get_mut(&id) else {
-            return;
-        };
-        req.queries.pop_front()
-    };
-    match next {
-        Some(q) => send_query(engine, world, id, q),
-        None => start_render(engine, world, id),
-    }
-}
-
-fn start_render(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    let cycles = {
-        let req = world.inflight.get_mut(&id).expect("request exists");
-        req.phase = Phase::WebRender;
-        let resp = req.profile.response_bytes(req.db_bytes);
-        world.web.connection_cycles(resp)
-    };
-    world.platform.submit_work(Tier::Web, WorkToken(id), cycles);
-    let _ = engine;
-}
-
-fn finish_request(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    let (session, resp_bytes, issued) = {
-        let req = world.inflight.get(&id).expect("request exists");
-        (
-            req.session,
-            req.profile.response_bytes(req.db_bytes),
-            req.issued,
-        )
-    };
-    // Worker writes the PHP session file and frees up.
-    let io = world.web.session_write();
-    world.platform.disk_io(engine.now(), Tier::Web, io);
-    world.web.on_finish();
-    if world.web.try_dequeue() {
-        let next = world
-            .pending_web
-            .pop_front()
-            .expect("queued count matches pending list");
-        start_script(engine, world, next);
-    }
-    let delivered = world.platform.net_web_to_client(engine.now(), resp_bytes);
-    let _ = issued;
-    engine.schedule_at(delivered, move |e, w| client_done(e, w, id, session));
-}
-
-fn client_done(engine: &mut Engine<World>, world: &mut World, id: u64, session: u32) {
-    // A request that already failed (timeout or injected fault) handed
-    // its session to the retry path; a late delivery must not advance
-    // the session again or double-schedule its next request.
-    let Some(req) = world.inflight.remove(&id) else {
-        return;
-    };
-    world.completed += 1;
-    let latency = engine.now().duration_since(req.issued).as_secs_f64();
-    world.response_time.push(latency);
-    world.response_hist.push(latency);
-    let idx = req.interaction.index();
-    world.interaction_counts[idx] += 1;
-    world.interaction_latency[idx].push(latency);
-    if world.faults.enabled {
-        if let Some(ev) = req.timeout {
-            engine.cancel(ev);
-        }
-        world.faults.monitor.record_ok();
-        world.clients.on_success(session);
-    }
-    world.clients.advance(session, &mut world.rng);
-    if engine.now() >= world.cfg.end_time() {
-        return;
-    }
-    let think = world.clients.think_time(session, &mut world.rng);
-    let at = engine.now() + think;
-    arm_wake(engine, world, session, at);
-}
-
 fn request_timeout(engine: &mut Engine<World>, world: &mut World, id: u64) {
-    let Some(mut req) = world.inflight.remove(&id) else {
-        return; // completed or failed first; its timeout was cancelled
-    };
-    // This very event is firing — nothing left to cancel.
-    req.timeout = None;
-    fail_removed(engine, world, id, req, FailCause::Timeout);
-}
-
-/// Fail an in-flight request (injected error, crashed tier, dropped
-/// work). No-op if the request already completed.
-pub(crate) fn fail_request(
-    engine: &mut Engine<World>,
-    world: &mut World,
-    id: u64,
-    cause: FailCause,
-) {
-    let Some(req) = world.inflight.remove(&id) else {
-        return;
-    };
-    fail_removed(engine, world, id, req, cause);
-}
-
-fn fail_removed(
-    engine: &mut Engine<World>,
-    world: &mut World,
-    id: u64,
-    req: Request,
-    cause: FailCause,
-) {
-    if let Some(ev) = req.timeout {
-        engine.cancel(ev);
+    if let Some(req) = world.stack.inflight.get_mut(&id) {
+        // This very event is firing — nothing left to cancel.
+        req.timeout = None;
     }
-    if req.started {
-        // The request held a web worker; release it like a finish does.
-        world.web.on_finish();
-        if world.web.try_dequeue() {
-            let next = world
-                .pending_web
-                .pop_front()
-                .expect("queued count matches pending list");
-            start_script(engine, world, next);
-        }
-    } else if let Some(pos) = world.pending_web.iter().position(|&x| x == id) {
-        // Timed out while still waiting for a worker.
-        world.pending_web.remove(pos);
-        world.web.drop_queued();
-    }
-    match cause {
-        FailCause::Error => world.faults.monitor.record_error(),
-        FailCause::Timeout => world.faults.monitor.record_timeout(),
-    }
-    let session = req.session;
-    let decision = world
-        .clients
-        .on_failure(session, &world.faults.policy, &mut world.faults.rng);
-    let pause = match decision {
-        RetryDecision::RetryAfter(d) => {
-            world.faults.monitor.record_retry();
-            d
-        }
-        RetryDecision::Abandon(d) => {
-            world.faults.monitor.record_abandon();
-            d
-        }
-    };
-    if engine.now() >= world.cfg.end_time() {
-        return;
-    }
-    // Invalidate anything still armed for this session before resuming
-    // it: the retry wake must be the only one that can fire (the
-    // epoch-guard class of bug PR 3 fixed for timeouts).
-    world.clients.bump_epoch(session);
-    let at = engine.now() + pause;
-    arm_wake(engine, world, session, at);
-}
-
-fn housekeeping(engine: &mut Engine<World>, world: &mut World) {
-    let now = engine.now();
-    world.web.manage_pool(now);
-    if let Some(io) = world.web.flush_log() {
-        world.platform.disk_io(now, Tier::Web, io);
-    }
-    if let Some(io) = world.mysql.log_flush() {
-        world.platform.disk_io(now, Tier::Db, io);
-    }
-    world.platform.periodic(now);
-    let web_mem = world.web.memory_bytes();
-    let db_mem = world.mysql.memory_bytes();
-    world.platform.set_tier_memory(Tier::Web, web_mem);
-    world.platform.set_tier_memory(Tier::Db, db_mem);
-    // PHP session state accumulates as clients interact; cap at the
-    // population (sessions are reused in the closed loop).
-    world.web.tracked_sessions = world
-        .web
-        .tracked_sessions
-        .max((world.next_req.min(u64::from(world.cfg.clients))) as u32);
-    world.mysql.connections = world.web.busy();
-}
-
-fn take_sample(engine: &mut Engine<World>, world: &mut World) {
-    let dt = world.cfg.sample_interval;
-    let web_load = TierLoad {
-        runq: f64::from(world.web.busy()).min(16.0) * 0.25 + 1.0,
-        nproc: f64::from(world.web.workers()) + 70.0,
-        blocked: f64::from(world.web.queued()).min(12.0) * 0.25,
-        tcp_active: world.tcp_opened as f64,
-        tcp_sockets: f64::from(world.web.busy() + world.web.queued()) + 8.0,
-        forks: 0.2,
-    };
-    let db_load = TierLoad {
-        runq: 1.0 + f64::from(world.mysql.connections).min(8.0) * 0.2,
-        nproc: 30.0 + f64::from(world.mysql.connections),
-        blocked: 0.5,
-        tcp_active: world.tcp_opened as f64 * 1.5, // queries reopen
-        tcp_sockets: f64::from(world.mysql.connections) + 4.0,
-        forks: 0.0,
-    };
-    world.tcp_opened = 0;
-    if world.faults.enabled {
-        // Same cadence as the catalog series: one availability /
-        // error-rate / retry point per sampling interval.
-        world.faults.monitor.sample();
-    }
-    let start = SimTime::ZERO + dt;
-    let samples = world.platform.sample_hosts(dt, web_load, db_load);
-    for s in samples {
-        // One reusable row per host per tick: synthesis appends by
-        // cached layout ids, then the whole row commits in one call —
-        // no string keys, no map probes, no steady-state allocation.
-        world.sample_row.clear();
-        synthesize_sysstat_into(&s.raw, s.sysstat_source, &mut world.sample_row);
-        if s.has_perf {
-            synthesize_perf_into(&s.raw, &mut world.sample_row);
-        }
-        if let Some(bank) = world.online.as_mut() {
-            // Online profiling observes the row before it is routed, so
-            // it composes with both sinks and perturbs neither.
-            bank.record(s.host, &world.sample_row);
-        }
-        if let Some(writer) = world.trace.as_mut() {
-            let host = writer.host_id(s.host);
-            if let Err(e) = writer.record_row(host, start, dt, &world.sample_row) {
-                // Deferred: the tick can't return Result through the
-                // engine. Disarm so one bad disk reports one error.
-                if world.trace_err.is_none() {
-                    world.trace_err = Some(e);
-                }
-                world.trace = None;
-            }
-        } else {
-            let host = world.store.host_id(s.host);
-            world.store.record_row(host, start, dt, &world.sample_row);
-        }
-    }
-    let _ = engine;
+    fail_request(engine, world, id, FailCause::Timeout);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Deployment;
-    use crate::phys::{HostIoPolicy, PhysPlatform};
-    use cloudchar_rubis::{Database, DbScale, WorkloadMix};
-    use cloudchar_simcore::{FaultEvent, FaultKind};
+    use cloudchar_rubis::WorkloadMix;
+    use cloudchar_simcore::FaultEvent;
 
     fn tiny_world(faulty: bool) -> World {
         let mut cfg = ExperimentConfig::fast(Deployment::NonVirtualized, WorkloadMix::BROWSING);
@@ -747,33 +871,30 @@ mod tests {
             });
         }
         let master = SimRng::new(cfg.seed);
-        let mut db_rng = master.derive("db-gen");
+        let lanes = Lanes {
+            db: master.derive("db-gen"),
+            platform: master.derive("platform"),
+            workload: master.derive("workload"),
+            faults: master.derive("faults"),
+        };
+        let stack = Stack::new(&cfg, lanes, cfg.clients, true);
         let mut client_rng = master.derive("clients");
-        let db = Database::generate(DbScale::small(), &mut db_rng);
-        let mysql = MySqlServer::new(db, cfg.mysql);
-        let web = WebAppServer::new(cfg.web);
         let clients = ClientCohort::new(cfg.clients, cfg.mix, &mut client_rng);
-        let platform = Platform::Phys(Box::new(PhysPlatform::new(
-            cloudchar_hw::ServerSpec::hp_proliant(),
-            HostIoPolicy::default(),
-            master.derive("platform"),
-        )));
-        World::new(
-            cfg,
-            platform,
-            web,
-            mysql,
-            clients,
-            master.derive("workload"),
-            master.derive("faults"),
-        )
+        World::new(cfg, stack, clients)
+    }
+
+    /// Deliver the response of request `id` as its delivery event would.
+    fn deliver(engine: &mut Engine<World>, world: &mut World, id: u64) {
+        if let Some(req) = world.stack.inflight.remove(&id) {
+            World::served(engine, world, req);
+        }
     }
 
     #[test]
     fn late_completion_after_failure_does_not_double_schedule() {
         // Regression: a request that timed out hands its session to the
         // retry path; when the server's late response finally arrives,
-        // client_done must not advance the session or schedule a second
+        // the delivery must not advance the session or schedule a second
         // think-time resumption for it.
         let mut world = tiny_world(true);
         let mut engine: Engine<World> = Engine::new();
@@ -785,7 +906,7 @@ mod tests {
         assert_eq!(world.inflight_count(), 0);
         let pending_after_fail = engine.pending();
         // The stale delivery event fires afterwards: must be inert.
-        client_done(&mut engine, &mut world, 0, 0);
+        deliver(&mut engine, &mut world, 0);
         assert_eq!(engine.pending(), pending_after_fail, "no extra event");
         assert_eq!(
             world.clients.current_interaction(0),
@@ -799,17 +920,17 @@ mod tests {
         let mut world = tiny_world(true);
         let mut engine: Engine<World> = Engine::new();
         // Saturate every worker so the next arrival queues.
-        let workers = world.web.workers();
+        let workers = world.stack.web.workers();
         for _ in 0..workers {
-            assert!(world.web.on_arrival());
+            assert!(world.stack.web.on_arrival());
         }
         fire_request(&mut engine, &mut world, 0);
-        let id = world.next_req - 1;
+        let id = world.stack.next_req - 1;
         web_arrival(&mut engine, &mut world, id);
-        assert_eq!(world.web.queued(), 1);
+        assert_eq!(world.stack.web.queued(), 1);
         fail_request(&mut engine, &mut world, id, FailCause::Timeout);
-        assert_eq!(world.web.queued(), 0, "queue slot must be released");
-        assert!(world.pending_web.is_empty());
+        assert_eq!(world.stack.web.queued(), 0, "queue slot must be released");
+        assert!(world.stack.pending_web.is_empty());
     }
 
     #[test]
@@ -840,19 +961,19 @@ mod tests {
         engine.run_until(&mut world, SimTime::from_secs(1));
         // Both wakes fired exactly once despite the superseded event.
         assert_eq!(world.inflight_count(), 2);
-        assert_eq!(world.next_req, 2);
+        assert_eq!(world.stack.next_req, 2);
     }
 
     #[test]
     fn fault_free_world_is_disarmed() {
         let mut world = tiny_world(false);
         let mut engine: Engine<World> = Engine::new();
-        assert!(!world.faults_enabled());
+        assert!(!world.stack.faults_enabled);
         let before = engine.pending();
         fire_request(&mut engine, &mut world, 0);
         // Only the web-arrival event — no timeout guard is armed.
         assert_eq!(engine.pending(), before + 1);
-        let id = world.next_req - 1;
-        assert!(world.inflight.get(&id).expect("inflight").timeout.is_none());
+        let id = world.stack.next_req - 1;
+        assert!(world.stack.inflight[&id].timeout.is_none());
     }
 }

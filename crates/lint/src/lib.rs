@@ -142,7 +142,7 @@ pub const ORACLE_DEF_FILES: [&str; 2] = [
 /// and must therefore own its state exclusively (CL013): no shared-state
 /// primitives — cross-shard traffic is channel messages only.
 pub const SHARD_LOGIC_FILES: [&str; 2] =
-    ["crates/core/src/fleet.rs", "crates/core/src/experiment.rs"];
+    ["crates/core/src/fleet.rs", "crates/core/src/workload.rs"];
 
 /// Files on the out-of-core streaming path, which must keep memory
 /// bounded by the chunk size (CL014): no whole-series materialization.

@@ -43,4 +43,4 @@ pub use interactions::{queries_for, EntityRanges, Interaction, InteractionProfil
 pub use schema::{DbScale, ItemId, UserId};
 pub use transition::{Mix, NextAction, TransitionTable};
 pub use webserver::{WebAppServer, WebConfig};
-pub use wire::{CompletionEnvelope, Outcome, QueryEnvelope, RequestEnvelope};
+pub use wire::{CompletionEnvelope, Outcome, RequestEnvelope};

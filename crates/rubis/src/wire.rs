@@ -1,8 +1,8 @@
 //! Typed cross-tier message envelopes.
 //!
 //! When the simulation is sharded (one shard per physical host plus a
-//! client/generator shard), client→server and tier→tier traffic travels
-//! over `simcore::shard` channels. These envelopes are the payloads:
+//! client/generator shard), client→server traffic travels over
+//! `simcore::shard` channels. These envelopes are the payloads:
 //! plain data, no handles into another shard's state, so a message can
 //! cross a thread boundary without breaking shard ownership (lint rule
 //! CL013). Every envelope carries the session id so the generator can
@@ -45,19 +45,6 @@ pub struct CompletionEnvelope {
     pub outcome: Outcome,
 }
 
-/// A tier→tier database query hop: what the web tier hands the DB tier
-/// when the two run on different shards. The serving pod keeps its own
-/// request bookkeeping; this carries only what the DB needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryEnvelope {
-    /// Pod-local request slot awaiting this query's result.
-    pub request: u64,
-    /// The interaction whose query plan is being executed.
-    pub interaction: Interaction,
-    /// Index of the query within the interaction's plan.
-    pub step: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,11 +66,5 @@ mod tests {
         assert_eq!(done, copy);
         assert_eq!(copy.session, 7);
         assert!(matches!(copy.outcome, Outcome::Ok));
-        let q = QueryEnvelope {
-            request: 1,
-            interaction: Interaction::Home,
-            step: 0,
-        };
-        assert_eq!(q, q);
     }
 }

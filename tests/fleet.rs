@@ -173,7 +173,7 @@ fn fleet_fingerprints_match_goldens() {
     );
     let golden = [
         ("db-crash", 0xba20_9300_c50d_216d_u64),
-        ("web-throttle", 0x278f_724d_fb74_9a39),
+        ("web-throttle", 0x67ca_a71e_355a_7141),
         ("noisy-neighbor", 0x86d7_590b_6b50_fbd5),
     ];
     for (name, want) in golden {

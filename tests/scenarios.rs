@@ -10,8 +10,8 @@
 //! the R-claim signs outside the fault window.
 
 use cloudchar_core::{
-    run, run_fleet, run_seeds_jobs, run_sharded, scenario, scenario_report, Deployment,
-    ExperimentConfig, ExperimentResult, FleetConfig, SCENARIOS,
+    run, run_fleet, run_seeds_jobs, scenario, scenario_report, Deployment, ExperimentConfig,
+    ExperimentResult, FleetConfig, SCENARIOS,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
@@ -145,50 +145,6 @@ fn db_crash_preserves_r_claim_signs_outside_the_window() {
         db_during < 0.5 * db,
         "crashed DB tier still drew {db_during} of {db} cycles"
     );
-}
-
-#[test]
-fn scenarios_pin_identical_envelopes_across_shard_jobs() {
-    // The availability envelope and per-host phase deltas of a chaos
-    // scenario are part of the deterministic contract: the sharded
-    // runner at any worker count must pin the exact same windows and
-    // the exact same numbers as the legacy engine.
-    for name in ["db-crash", "noisy-neighbor"] {
-        let legacy = run(faulted_cfg(name, 42));
-        let s1 = run_sharded(faulted_cfg(name, 42), 1);
-        let s4 = run_sharded(faulted_cfg(name, 42), 4);
-        assert_eq!(
-            fingerprint(&legacy),
-            fingerprint(&s1),
-            "{name}: sharded jobs=1 diverged"
-        );
-        assert_eq!(
-            fingerprint(&legacy),
-            fingerprint(&s4),
-            "{name}: sharded jobs=4 diverged"
-        );
-        assert_eq!(legacy.faults, s4.faults, "{name}: fault summaries");
-        let a = scenario_report(&legacy).expect("phase report computable");
-        let b = scenario_report(&s4).expect("phase report computable");
-        assert_eq!(a.window, b.window, "{name}: availability window");
-        for (x, y) in [
-            (a.availability_before, b.availability_before),
-            (a.availability_during, b.availability_during),
-            (a.availability_after, b.availability_after),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{name}: availability drifted");
-        }
-        assert_eq!(a.deltas.len(), b.deltas.len(), "{name}: delta rows");
-        for (x, y) in a.deltas.iter().zip(&b.deltas) {
-            assert_eq!(x.host, y.host, "{name}: delta host order");
-            assert_eq!(
-                x.during.to_bits(),
-                y.during.to_bits(),
-                "{name}: {} in-window delta drifted",
-                x.host
-            );
-        }
-    }
 }
 
 #[test]

@@ -7,17 +7,26 @@
 //! truncated file must fail loudly instead of decoding a short series.
 
 use cloudchar_core::{
-    full_characterize, full_characterize_trace, run, run_fleet, run_fleet_traced, run_traced,
+    full_characterize, full_characterize_trace, run, run_fleet, run_fleet_opts, run_opts,
     write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
-    ResourceCursor, TraceDir,
+    ResourceCursor, RunOptions, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkReader, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
 use cloudchar_rubis::WorkloadMix;
-use cloudchar_simcore::{SimDuration, SimTime};
+use cloudchar_simcore::{RunMode, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Run `cfg` with its samples streamed to the trace file `path`.
+fn traced_run(cfg: ExperimentConfig, path: &Path) -> std::io::Result<ExperimentResult> {
+    let opts = RunOptions {
+        trace_out: Some(path.to_path_buf()),
+        ..RunOptions::default()
+    };
+    run_opts(cfg, &opts).map(|(result, _)| result)
+}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cloudchar-trace-tests");
@@ -79,7 +88,7 @@ fn traced_kilo_client_run_matches_golden_fingerprint() {
     // the streaming chunk writer: the on-disk trace must decode to the
     // same samples the resident store would have held, hash included.
     let path = tmp("kilo.cctr");
-    let traced = run_traced(golden_cfg(1000), &path).expect("traced run");
+    let traced = traced_run(golden_cfg(1000), &path).expect("traced run");
     assert_eq!(traced.completed, 15013, "completion count drifted");
     let store = read_store(&path).expect("read trace back");
     assert_eq!(
@@ -105,7 +114,7 @@ fn traced_hundred_k_run_matches_golden_fingerprint() {
     cfg.duration = SimDuration::from_secs(6);
     cfg.rampup = SimDuration::from_secs(2);
     let path = tmp("hundredk.cctr");
-    let traced = run_traced(cfg, &path).expect("traced run");
+    let traced = traced_run(cfg, &path).expect("traced run");
     assert_eq!(traced.completed, 12752, "completion count drifted");
     let store = read_store(&path).expect("read trace back");
     assert_eq!(
@@ -131,12 +140,12 @@ fn streamed_fig_csvs_are_byte_identical() {
     ));
     let bp = tmp("fig_browse.cctr");
     let qp = tmp("fig_bid.cctr");
-    run_traced(
+    traced_run(
         ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING),
         &bp,
     )
     .expect("traced browse");
-    run_traced(
+    traced_run(
         ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BIDDING),
         &qp,
     )
@@ -184,7 +193,7 @@ fn out_of_core_characterization_equals_in_memory() {
         WorkloadMix::BROWSING,
     ));
     let path = tmp("char.cctr");
-    run_traced(
+    traced_run(
         ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING),
         &path,
     )
@@ -220,7 +229,7 @@ fn truncated_tail_chunk_is_detected() {
     // Chop bytes off the end of a valid trace: open must fail with a
     // corruption error, never silently decode a shorter series.
     let path = tmp("trunc.cctr");
-    run_traced(
+    traced_run(
         ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING),
         &path,
     )
@@ -251,7 +260,11 @@ fn traced_fleet_matches_untraced_fingerprint() {
     cfg.base.duration = SimDuration::from_secs(60);
     let untraced = run_fleet(&cfg, 2);
     let dir = tmp("fleet");
-    let traced = run_fleet_traced(&cfg, 2, &dir).expect("traced fleet");
+    let opts = RunOptions {
+        trace_out: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let traced = run_fleet_opts(&cfg, RunMode::Windowed { jobs: 2 }, &opts).expect("traced fleet");
     assert_eq!(untraced.completed, traced.completed);
     assert_eq!(untraced.failed, traced.failed);
     let trace = TraceDir::open(&dir).expect("open fleet trace");
