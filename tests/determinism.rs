@@ -239,3 +239,43 @@ fn catalog_is_global_and_stable() {
     assert_eq!(c1.len(), 518);
     assert_eq!(c1.by_source(Source::PerfCounter).len(), 154);
 }
+
+/// FNV-1a over the bytes of a serialized value.
+fn fnv_json<T: serde::Serialize>(value: &T) -> u64 {
+    let text = serde_json::to_string(value).expect("characterization serializes");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in text.as_bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn golden_characterization_json_unchanged() {
+    // Pins every field of both characterization passes (summary, fit
+    // family and KS distance, autocorrelation, jumps, period) on the
+    // fast virtualized browsing run at seed 42, so a change to how the
+    // catalog is profiled must reproduce the output byte for byte.
+    use cloudchar_core::{characterize_jobs, full_characterize};
+    let r = run(ExperimentConfig::fast(
+        Deployment::Virtualized,
+        WorkloadMix::BROWSING,
+    ));
+    assert_eq!(r.config.seed, 42);
+    let full = fnv_json(&full_characterize(&r, 1));
+    let full_pooled = fnv_json(&full_characterize(&r, 4));
+    let resource = fnv_json(&characterize_jobs(&r, 1));
+    assert_eq!(
+        full, 0x684d_7faf_211c_7acc,
+        "full_characterize(jobs 1) JSON diverged"
+    );
+    assert_eq!(
+        full_pooled, 0x684d_7faf_211c_7acc,
+        "full_characterize(jobs 4) JSON diverged"
+    );
+    assert_eq!(
+        resource, 0xb09e_1bfe_7a73_7df4,
+        "characterize_jobs(jobs 1) JSON diverged"
+    );
+}
