@@ -101,74 +101,127 @@ pub struct FitResult {
 
 /// KS distance between data and a fitted CDF.
 pub fn ks_distance(sorted: &[f64], dist: &Fitted) -> f64 {
-    let n = sorted.len() as f64;
-    let mut d: f64 = 0.0;
-    for (i, &x) in sorted.iter().enumerate() {
-        let f = dist.cdf(x);
-        let lo = i as f64 / n;
-        let hi = (i + 1) as f64 / n;
-        d = d.max((f - lo).abs()).max((f - hi).abs());
-    }
-    d
+    // The distance never exceeds 1, so an infinite bound never stops it.
+    ks_distance_below(sorted, dist, f64::INFINITY).unwrap_or(f64::INFINITY)
 }
 
-/// Fit all candidate families by moments and rank by KS distance
-/// (best first). Returns an empty vector for fewer than 8 samples or
-/// when any sample is non-finite (moments would be meaningless).
-pub fn fit_all(xs: &[f64]) -> Vec<FitResult> {
+/// KS distance of `dist` to the sorted sample, or `None` as soon as the
+/// running distance reaches `bound`: it only grows, so such a fit can
+/// at best tie with `bound`.
+///
+/// The CDF is evaluated once per run of bit-equal samples. Within a run
+/// at indices `a..b` the terms are `|F(x) − k/n|` for `k` in `a..=b`;
+/// `k/n` and the rounded difference are both monotone in `k`, so the
+/// largest term sits at `k = a` or `k = b` and the maximum is the one
+/// the per-sample loop finds, bit for bit.
+fn ks_distance_below(sorted: &[f64], dist: &Fitted, bound: f64) -> Option<f64> {
+    let n = sorted.len() as f64;
+    let mut d: f64 = 0.0;
+    let mut a = 0;
+    while a < sorted.len() {
+        let bits = sorted[a].to_bits();
+        let mut b = a + 1;
+        while b < sorted.len() && sorted[b].to_bits() == bits {
+            b += 1;
+        }
+        let f = dist.cdf(sorted[a]);
+        let lo = a as f64 / n;
+        let hi = b as f64 / n;
+        d = d.max((f - lo).abs()).max((f - hi).abs());
+        if d >= bound {
+            return None;
+        }
+        a = b;
+    }
+    Some(d)
+}
+
+/// Sorted copy, mean and population variance of an all-finite series
+/// of at least 8 samples; `None` otherwise (moments would be
+/// meaningless).
+fn prepare(xs: &[f64]) -> Option<(Vec<f64>, f64, f64)> {
     if xs.len() < 8 || xs.iter().any(|x| !x.is_finite()) {
-        return Vec::new();
+        return None;
     }
     let n = xs.len() as f64;
     let mean = xs.iter().sum::<f64>() / n;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(f64::total_cmp);
-    fit_sorted(&sorted, mean, var)
+    Some((sorted, mean, var))
 }
 
-/// Fit candidates against a pre-sorted, all-finite copy with its mean
-/// and population variance already computed — the shared-pass entry
-/// used by `SeriesScratch` (and by [`fit_all`], so both produce
-/// identical results).
-pub(crate) fn fit_sorted(sorted: &[f64], mean: f64, var: f64) -> Vec<FitResult> {
-    if sorted.len() < 8 {
+/// Fit all candidate families by moments and rank by KS distance
+/// (best first). Returns an empty vector for fewer than 8 samples or
+/// when any sample is non-finite (moments would be meaningless).
+pub fn fit_all(xs: &[f64]) -> Vec<FitResult> {
+    let Some((sorted, mean, var)) = prepare(xs) else {
         return Vec::new();
-    }
-    let std = var.sqrt();
-    let lo = sorted[0];
-    let hi = sorted[sorted.len() - 1];
-
-    let mut fits = vec![
-        Fitted::Normal { mean, std_dev: std },
-        Fitted::Uniform { lo, hi },
-    ];
-    if mean > 0.0 && lo >= 0.0 {
-        fits.push(Fitted::Exponential { mean });
-    }
-    if lo > 0.0 {
-        // Moment-match the lognormal: σ² = ln(1 + var/mean²).
-        let sigma2 = (1.0 + var / (mean * mean)).ln();
-        fits.push(Fitted::LogNormal {
-            mu: mean.ln() - sigma2 / 2.0,
-            sigma: sigma2.sqrt(),
-        });
-    }
-
-    let mut results: Vec<FitResult> = fits
-        .into_iter()
+    };
+    let mut results: Vec<FitResult> = candidates(&sorted, mean, var)
         .map(|dist| FitResult {
             dist,
             ks: ks_distance(&sorted, &dist),
         })
         .collect();
+    // Stable: on a KS tie the earlier candidate ranks first.
     results.sort_by(|a, b| a.ks.total_cmp(&b.ks));
     results
 }
 
-/// Fit and return the best family.
+/// The candidate families moment-matched to a sorted, all-finite sample
+/// of at least 8 values, in ranking order: Normal, Uniform, then
+/// Exponential and LogNormal where their support admits the data.
+fn candidates(sorted: &[f64], mean: f64, var: f64) -> impl Iterator<Item = Fitted> {
+    let std = var.sqrt();
+    let lo = sorted[0];
+    let hi = sorted[sorted.len() - 1];
+    let exponential = (mean > 0.0 && lo >= 0.0).then_some(Fitted::Exponential { mean });
+    let lognormal = (lo > 0.0).then(|| {
+        // Moment-match the lognormal: σ² = ln(1 + var/mean²).
+        let sigma2 = (1.0 + var / (mean * mean)).ln();
+        Fitted::LogNormal {
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    });
+    [
+        Some(Fitted::Normal { mean, std_dev: std }),
+        Some(Fitted::Uniform { lo, hi }),
+        exponential,
+        lognormal,
+    ]
+    .into_iter()
+    .flatten()
+}
+
+/// The winner of [`fit_all`]'s ranking from a pre-sorted, all-finite
+/// copy with its mean and population variance already computed — the
+/// shared-pass entry used by `SeriesScratch` and [`best_fit`].
+///
+/// Candidates are scored in ranking order and a later family stops
+/// being scored once its running KS distance reaches the best so far:
+/// at `>=` it can at most tie, and a tie keeps the earlier family, as
+/// the stable sort in [`fit_all`] does.
+pub(crate) fn best_sorted(sorted: &[f64], mean: f64, var: f64) -> Option<FitResult> {
+    if sorted.len() < 8 {
+        return None;
+    }
+    let mut best: Option<FitResult> = None;
+    for dist in candidates(sorted, mean, var) {
+        let bound = best.map_or(f64::INFINITY, |b| b.ks);
+        if let Some(ks) = ks_distance_below(sorted, &dist, bound) {
+            best = Some(FitResult { dist, ks });
+        }
+    }
+    best
+}
+
+/// Fit and return the best family: the first entry of [`fit_all`],
+/// without scoring the families that have already lost.
 pub fn best_fit(xs: &[f64]) -> Option<FitResult> {
-    fit_all(xs).into_iter().next()
+    let (sorted, mean, var) = prepare(xs)?;
+    best_sorted(&sorted, mean, var)
 }
 
 #[cfg(test)]

@@ -209,9 +209,7 @@ impl SeriesScratch {
         }
         self.ensure_sorted();
         let var = self.total_power / n as f64;
-        fit::fit_sorted(&self.sorted, self.mean, var)
-            .into_iter()
-            .next()
+        fit::best_sorted(&self.sorted, self.mean, var)
     }
 
     /// Full periodogram over DFT bins `1..=n/2` — same result as

@@ -1,9 +1,10 @@
 //! Property-based tests for the characterization analytics.
 
+use cloudchar_analysis::fit::ks_distance;
 use cloudchar_analysis::{
-    aggregate_ratio, autocorrelation, cross_correlation, cross_correlation_scan, detect_jumps,
-    dominant_periods, find_lag, find_lag_naive, fit_all, goertzel_periodogram, mean_ratio, pearson,
-    periodogram, summarize,
+    aggregate_ratio, autocorrelation, best_fit, cross_correlation, cross_correlation_scan,
+    detect_jumps, dominant_periods, find_lag, find_lag_naive, fit_all, goertzel_periodogram,
+    mean_ratio, pearson, periodogram, summarize, FitResult, Fitted,
 };
 use proptest::prelude::*;
 
@@ -205,4 +206,134 @@ proptest! {
             prop_assert!(pair[0].ks <= pair[1].ks);
         }
     }
+
+    /// The pruned ranking picks exactly the winner of the full ranking,
+    /// bit for bit, on series with heavy ties, negatives, all-positive
+    /// values and mixed signed zeros.
+    #[test]
+    fn best_fit_is_the_full_ranking_winner(
+        codes in proptest::collection::vec((0usize..8, -50f64..50.0), 0..80),
+    ) {
+        // Shape 4 repeats one palette value: a constant series, where the
+        // degenerate families tie at KS 1.0.
+        let k0 = codes.first().map_or(0, |c| c.0);
+        for shape in 0..5 {
+            let xs: Vec<f64> = codes
+                .iter()
+                .map(|&(k, u)| if shape == 4 { tie_heavy(0, k0, u) } else { tie_heavy(shape, k, u) })
+                .collect();
+            prop_assert_eq!(
+                fit_bits(best_fit(&xs)),
+                fit_bits(fit_all(&xs).first().copied()),
+                "shape {}: {:?}",
+                shape,
+                xs
+            );
+        }
+    }
+
+    /// Evaluating the CDF once per run of equal samples gives the KS
+    /// distance of the per-sample loop, bit for bit, for every family.
+    #[test]
+    fn run_grouped_ks_matches_the_per_sample_loop(
+        codes in proptest::collection::vec((0usize..8, -50f64..50.0), 8..80),
+    ) {
+        for shape in 0..4 {
+            let mut xs: Vec<f64> = codes.iter().map(|&(k, u)| tie_heavy(shape, k, u)).collect();
+            let fits = fit_all(&xs);
+            xs.sort_by(f64::total_cmp);
+            for f in &fits {
+                prop_assert_eq!(
+                    ks_distance(&xs, &f.dist).to_bits(),
+                    ks_per_sample(&xs, &f.dist).to_bits(),
+                    "shape {}: {:?} on {:?}",
+                    shape,
+                    f.dist,
+                    xs
+                );
+            }
+        }
+    }
+}
+
+/// The KS distance as one CDF evaluation per sample: the oracle for the
+/// run-grouped `ks_distance`.
+fn ks_per_sample(sorted: &[f64], dist: &Fitted) -> f64 {
+    let n = sorted.len() as f64;
+    let mut d: f64 = 0.0;
+    for (i, &x) in sorted.iter().enumerate() {
+        let f = dist.cdf(x);
+        d = d
+            .max((f - i as f64 / n).abs())
+            .max((f - (i + 1) as f64 / n).abs());
+    }
+    d
+}
+
+/// One sample of a generated series: `k` picks from a small palette so
+/// values repeat, `u` is a continuous draw.
+fn tie_heavy(shape: usize, k: usize, u: f64) -> f64 {
+    match shape {
+        // Few distinct values: signed zeros, negatives, positives.
+        0 => [0.0, -0.0, 1.0, 2.5, -3.0, 7.0, 1e-3, 100.0][k],
+        // All positive, half of the samples on a 4-value grid.
+        1 if k < 4 => (k + 1) as f64 * 0.25,
+        1 => u.abs() + 0.01,
+        // Signed continuous values with signed zeros mixed in.
+        2 => match k {
+            0 => 0.0,
+            1 => -0.0,
+            _ => u,
+        },
+        // Signed zeros among non-negative integers.
+        _ if k < 4 => {
+            if k % 2 == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        }
+        _ => u.abs().round(),
+    }
+}
+
+/// A fit as raw bits: family tag, parameters and KS distance.
+fn fit_bits(fit: Option<FitResult>) -> Option<[u64; 4]> {
+    fit.map(|f| {
+        let (tag, a, b) = match f.dist {
+            Fitted::Normal { mean, std_dev } => (0, mean, std_dev),
+            Fitted::Uniform { lo, hi } => (1, lo, hi),
+            Fitted::Exponential { mean } => (2, mean, 0.0),
+            Fitted::LogNormal { mu, sigma } => (3, mu, sigma),
+        };
+        [tag, a.to_bits(), b.to_bits(), f.ks.to_bits()]
+    })
+}
+
+#[test]
+fn all_zero_series_keeps_normal_on_the_ks_tie() {
+    // Normal(0, 0) and Uniform(0, 0) both step to 1 at zero: KS 1.0
+    // each. The full ranking's stable sort keeps Normal first, and so
+    // must the pruned ranking.
+    let xs = [0.0; 16];
+    let all = fit_all(&xs);
+    assert_eq!(all.len(), 2);
+    assert_eq!(all[0].ks, all[1].ks);
+    let best = best_fit(&xs).expect("16 samples fit");
+    assert!(matches!(best.dist, Fitted::Normal { .. }), "{best:?}");
+    assert_eq!(best.ks, 1.0);
+    assert_eq!(fit_bits(Some(best)), fit_bits(all.first().copied()));
+}
+
+#[test]
+fn constant_positive_series_matches_the_full_ranking() {
+    // Normal, Uniform and LogNormal degenerate to a step (KS 1.0);
+    // Exponential wins with 1 - e^-1.
+    let xs = [3.5; 20];
+    let best = best_fit(&xs).expect("20 samples fit");
+    assert!(matches!(best.dist, Fitted::Exponential { .. }), "{best:?}");
+    assert_eq!(
+        fit_bits(Some(best)),
+        fit_bits(fit_all(&xs).first().copied())
+    );
 }

@@ -8,6 +8,9 @@
 //!
 //! `--smoke` runs a reduced spectrum+lag comparison and exits non-zero
 //! if the fast path is slower than the naive engine (ci.sh gate).
+//! `--steps` prints the per-step split of profiling the `fast` paper
+//! catalog (load, summary, best_fit, autocorrelation, jumps,
+//! periodogram; µs per series) and its distinct-series count.
 //! `--json` re-measures every section and rewrites
 //! `results/BENCH_analysis.json` (set `BENCH_DATE=YYYY-MM-DD` to stamp
 //! the record).
@@ -119,6 +122,115 @@ fn full_characterize_naive(result: &cloudchar_core::ExperimentResult) -> usize {
         }
     }
     profiles
+}
+
+/// Steps of `core::characterize::profile_loaded`, in the order it runs
+/// them, after loading the series.
+const STEPS: [&str; 6] = [
+    "load",
+    "summary",
+    "best_fit",
+    "autocorrelation",
+    "jumps",
+    "periodogram",
+];
+
+/// One pass over `series` that runs the first `steps` entries of
+/// [`STEPS`] on each. Returns a checksum for black_box.
+fn profile_prefix(scratch: &mut SeriesScratch, series: &[&[f64]], steps: usize) -> f64 {
+    let mut acc = 0.0;
+    for xs in series {
+        scratch.load(xs);
+        if steps < 2 {
+            continue;
+        }
+        let Some(summary) = scratch.summary() else {
+            continue;
+        };
+        acc += summary.mean;
+        if steps >= 3 {
+            acc += scratch.best_fit().map_or(0.0, |f| f.ks);
+        }
+        if steps >= 4 {
+            acc += scratch.autocorrelation(1).unwrap_or(0.0);
+        }
+        if steps >= 5 {
+            let threshold = (summary.mean.abs() * 0.10).max(1e-9);
+            acc += scratch.detect_jumps(15, threshold).len() as f64;
+        }
+        if steps >= 6 {
+            acc += scratch
+                .dominant_periods(0.10, 1)
+                .first()
+                .map_or(0.0, |p| p.power);
+        }
+    }
+    acc
+}
+
+/// Per-step cost of profiling every catalog series of the `fast`
+/// virtualized browsing run (seed 42) on one thread, without
+/// deduplication: pass `k` runs steps `1..=k` of [`STEPS`], and step
+/// `k` is charged the best-of-`reps` difference between passes `k` and
+/// `k - 1`, so the steps sum to the full profile pass. Returns the
+/// series count, the distinct-series count, the per-step µs per series
+/// and `full_characterize(r, 1)` in µs per series.
+fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64) {
+    let r = run(ExperimentConfig::fast(
+        Deployment::Virtualized,
+        WorkloadMix::BROWSING,
+    ));
+    let c = catalog();
+    let series: Vec<&[f64]> = r
+        .hosts
+        .iter()
+        .flat_map(|host| c.ids().filter_map(|id| r.store.get(host, id)))
+        .map(|s| s.values.as_slice())
+        .collect();
+    let distinct = series
+        .iter()
+        .map(|xs| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
+        .collect::<std::collections::HashSet<_>>()
+        .len();
+    let mut scratch = SeriesScratch::new();
+    let per_series = |ns: u128| ns as f64 / 1e3 / series.len() as f64;
+    // Interleave the passes so machine noise reaches all of them alike.
+    let mut best = [u128::MAX; STEPS.len()];
+    for _ in 0..reps {
+        for (k, slot) in best.iter_mut().enumerate() {
+            let ns = best_of(1, || {
+                black_box(profile_prefix(&mut scratch, &series, k + 1));
+            });
+            *slot = (*slot).min(ns);
+        }
+    }
+    let mut previous = 0.0;
+    let mut split = Vec::with_capacity(STEPS.len());
+    for ns in best {
+        let pass = per_series(ns);
+        split.push(pass - previous);
+        previous = pass;
+    }
+    let full = per_series(best_of(reps, || {
+        black_box(full_characterize(&r, 1).profiles.len());
+    }));
+    (series.len(), distinct, split, full)
+}
+
+/// Print the per-step split (`--steps`) and return it as a JSON section.
+fn characterize_steps_section() -> String {
+    let (series, distinct, split, full) = characterize_steps(50);
+    let total: f64 = split.iter().sum();
+    let mut steps = String::new();
+    for (name, us) in STEPS.iter().zip(&split) {
+        eprintln!("[bench] characterize step {name:<16} {us:>6.3} us/series");
+        steps.push_str(&format!("\"{name}\": {us:.3}, "));
+    }
+    eprintln!("[bench] characterize steps total {total:.3} us/series over {series} series ({distinct} distinct)");
+    eprintln!("[bench] full_characterize(jobs 1) {full:.3} us/series");
+    format!(
+        "  \"characterize_steps\": {{\n    \"series\": {series},\n    \"distinct\": {distinct},\n    \"us_per_series\": {{ {steps}\"total\": {total:.3} }},\n    \"full_characterize_jobs1_us_per_series\": {full:.3}\n  }},\n"
+    )
 }
 
 fn paper_run() -> cloudchar_core::ExperimentResult {
@@ -249,6 +361,8 @@ fn record_json() {
         "  \"characterize_paper\": {{\n    \"resource_level\": {{ \"pooled_jobs4\": {pooled}, \"serial_naive\": {serial}, \"speedup\": {speedup:.2} }},\n    \"full_catalog\": {{ \"pooled_jobs4\": {full_pooled}, \"serial_naive\": {full_serial}, \"speedup\": {full_speedup:.2} }}\n  }},\n"
     ));
 
+    sections.push_str(&characterize_steps_section());
+
     let recorded = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unrecorded".to_string());
     let json = format!(
         "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog\",\n  \"units\": \"ns/iter\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine.\"\n}}\n"
@@ -270,6 +384,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--smoke") {
         smoke();
+    } else if args.iter().any(|a| a == "--steps") {
+        characterize_steps_section();
     } else if args.iter().any(|a| a == "--json") {
         record_json();
     } else {

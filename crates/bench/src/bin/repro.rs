@@ -32,7 +32,8 @@
 //!
 //! `--clients N` overrides the emulated client population for every
 //! experiment the run performs (validated against the cohort's
-//! `MAX_CLIENTS` ceiling) — the fleet-scale smoke knob: the columnar
+//! `MAX_CLIENTS` ceiling), and the session count of a `fleet` (at least
+//! one per pod) — the fleet-scale smoke knob: the columnar
 //! cohort makes `--fast --clients 100000` a seconds-long run.
 //!
 //! `scenarios` runs the three built-in chaos scenarios one by one
@@ -950,21 +951,32 @@ fn run_cmd(lab: &Lab, online: Option<usize>) {
 /// `fleet` — run the multi-host sharded fleet (generator shard + one
 /// shard per physical host) and print its throughput, availability and
 /// parallel-runner statistics. `--hosts 13` is the paper topology,
-/// `--hosts 100` the scale-out configuration; `--jobs` sets the worker
+/// `--hosts 100` the scale-out configuration, and any other count exits
+/// 2; `--clients N` sets the session count; `--jobs` sets the worker
 /// threads; `--faults <spec>` injects the plan into pod 0 only;
 /// `--online` prints live per-pod window profiles.
 fn fleet_cmd(
     hosts: usize,
+    clients: Option<u32>,
     jobs: usize,
     faults: &Option<String>,
     trace_out: &Option<String>,
     online: Option<usize>,
 ) {
-    let mut cfg = if hosts >= 100 {
-        FleetConfig::fleet100()
-    } else {
-        FleetConfig::paper13()
+    let mut cfg = match hosts {
+        13 => FleetConfig::paper13(),
+        100 => FleetConfig::fleet100(),
+        _ => {
+            eprintln!(
+                "[repro] fleet --hosts must be 13 (paper testbed) or 100 (scale-out), got {hosts}"
+            );
+            std::process::exit(2);
+        }
     };
+    if let Some(n) = clients {
+        // Checked against the pod count by FleetConfig::validate.
+        cfg.base.clients = n;
+    }
     if let Some(spec) = faults {
         cfg.base.faults = resolve_plan(spec, cfg.base.duration.as_secs_f64());
         cfg.fault_pod = Some(0);
@@ -1067,11 +1079,11 @@ fn print_help(topic: Option<&str>) -> ! {
             println!();
             println!("Usage: repro [flags] fleet [--hosts N]");
             println!();
-            println!("  --hosts <N>            13 = paper testbed, >=100 = scale-out");
+            println!("  --hosts <N>            13 = paper testbed, 100 = scale-out");
             println!("  --online [--window W]  live per-pod online profiles (podNN/host)");
             println!("  --trace-out <dir>      stream one <dir>/podNN.cctr per pod");
             println!("  --trace-in <dir>       (not applicable: fleet always executes)");
-            println!("  --clients              accepted for symmetry with run");
+            println!("  --clients <N>          sessions spread over the pods (>= pods)");
             println!("  --faults <spec>        inject the plan into pod 0 only");
             println!();
             println!("{HELP_COMMON}");
@@ -1276,7 +1288,7 @@ fn main() {
     // `fleet` is opt-in too: the multi-host topology is its own scale.
     if cmds.iter().any(|c| c == "fleet") {
         let online = online_flag.then_some(window);
-        fleet_cmd(hosts, jobs, &lab.faults, &trace_out, online);
+        fleet_cmd(hosts, lab.clients, jobs, &lab.faults, &trace_out, online);
     }
     if want("fault-roundtrip") {
         fault_roundtrip_cmd();

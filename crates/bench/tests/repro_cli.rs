@@ -257,3 +257,39 @@ fn fast_report_writes_markdown() {
     assert!(report.contains("# cloudchar reproduction report"));
     assert!(report.contains("### Figure 8"));
 }
+
+/// Run repro expecting exit code 2; returns its stderr.
+fn repro_rejects(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2), "repro {args:?}: {out:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn fleet_rejects_host_counts_without_a_topology() {
+    // Only the paper testbed and the scale-out fleet exist; any other
+    // count used to run one of them silently.
+    for hosts in ["40", "99", "101"] {
+        let stderr = repro_rejects(&["fleet", "--hosts", hosts]);
+        assert!(
+            stderr.contains("13") && stderr.contains("100") && stderr.contains(hosts),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn fleet_clients_sets_the_session_count() {
+    let (stdout, _) = repro(&["fleet", "--clients", "8", "--jobs", "2"]);
+    assert!(
+        stdout.contains("== Fleet: 13 hosts (4 pods + generator), 8 sessions"),
+        "{stdout}"
+    );
+    // Fewer sessions than pods fails FleetConfig::validate.
+    let stderr = repro_rejects(&["fleet", "--clients", "3"]);
+    assert!(stderr.contains("fewer sessions than pods"), "{stderr}");
+}

@@ -17,8 +17,10 @@ use crate::experiment::ExperimentResult;
 use crate::sweep::par_map_ordered_with;
 use cloudchar_analysis::{find_lag, FitResult, LagResult, Resource, SeriesScratch, Summary};
 use cloudchar_monitor::{catalog, MetricId, Source};
+use cloudchar_simcore::hash::{IntHasher, IntMap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::Hasher;
 
 /// Characterization of one `(host, resource)` demand series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -195,25 +197,34 @@ pub struct FullCharacterization {
 /// host, not just the per-resource rollups — on at most `jobs` pooled
 /// worker threads. Output order is host presentation order crossed with
 /// catalog order, independent of the job count.
+///
+/// Many catalog series are bit-identical (idle counters, aliased perf
+/// events), so each distinct series is profiled once and its profile is
+/// copied to every `(host, metric)` that carries it.
 pub fn full_characterize(result: &ExperimentResult, jobs: usize) -> FullCharacterization {
     let c = catalog();
     let dt_s = result.config.sample_interval.as_secs_f64();
-    let mut tasks: Vec<(&str, MetricId)> = Vec::new();
+    let mut tasks: Vec<(&str, MetricId, &[f64])> = Vec::new();
     let mut metrics_per_host = Vec::with_capacity(result.hosts.len());
     for host in &result.hosts {
         let before = tasks.len();
         for id in c.ids() {
-            if result.store.get(host, id).is_some() {
-                tasks.push((host, id));
+            if let Some(series) = result.store.get(host, id) {
+                tasks.push((host, id, &series.values));
             }
         }
         metrics_per_host.push((host.clone(), tasks.len() - before));
     }
-    let profiles =
-        par_map_ordered_with(&tasks, jobs, SeriesScratch::new, |scratch, &(host, id)| {
-            let series = result.store.get(host, id)?;
-            scratch.load(&series.values);
-            let (summary, fit, autocorr1, jumps, period) = profile_loaded(scratch, dt_s)?;
+    let (distinct, group_of) = group_by_content(tasks.iter().map(|&(_, _, xs)| xs));
+    let profiled = par_map_ordered_with(&distinct, jobs, SeriesScratch::new, |scratch, &xs| {
+        scratch.load(xs);
+        profile_loaded(scratch, dt_s)
+    });
+    let profiles = tasks
+        .iter()
+        .zip(group_of)
+        .filter_map(|(&(host, id, _), group)| {
+            let (summary, fit, autocorr1, jumps, period) = profiled[group].clone()?;
             let def = c.def(id);
             Some(MetricProfile {
                 host: host.to_string(),
@@ -226,14 +237,72 @@ pub fn full_characterize(result: &ExperimentResult, jobs: usize) -> FullCharacte
                 period,
             })
         })
-        .into_iter()
-        .flatten()
         .collect();
     FullCharacterization {
         hosts: result.hosts.clone(),
         metrics_per_host,
         profiles,
     }
+}
+
+/// Seedless hash of a series' `f64::to_bits` words. Four interleaved
+/// [`IntHasher`] lanes keep four multiply chains in flight.
+fn content_hash(xs: &[f64]) -> u64 {
+    let mut lanes = [IntHasher::default(); 4];
+    let mut quads = xs.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, x) in lanes.iter_mut().zip(quad) {
+            lane.write_u64(x.to_bits());
+        }
+    }
+    let mut hasher = IntHasher::default();
+    hasher.write_usize(xs.len());
+    for x in quads.remainder() {
+        hasher.write_u64(x.to_bits());
+    }
+    for lane in lanes {
+        hasher.write_u64(lane.finish());
+    }
+    hasher.finish()
+}
+
+/// Group series by content. Returns the distinct series in first-seen
+/// order and, per input series, the index of its group. Series are
+/// equal when their `f64::to_bits` words are, so `0.0` and `-0.0` stay
+/// apart. A seedless hash of the words finds candidates; a hash hit is
+/// confirmed word by word, and a collision starts a new group.
+fn group_by_content<'a>(
+    series: impl ExactSizeIterator<Item = &'a [f64]>,
+) -> (Vec<&'a [f64]>, Vec<usize>) {
+    let mut group_of = Vec::with_capacity(series.len());
+    let mut distinct: Vec<&[f64]> = Vec::new();
+    // Per hash, the newest group; per group, the previous group with
+    // the same hash, so colliding groups form a chain.
+    let mut newest: IntMap<u64, usize> = IntMap::default();
+    let mut older: Vec<Option<usize>> = Vec::new();
+    for xs in series {
+        let key = content_hash(xs);
+        let mut probe = newest.get(&key).copied();
+        while let Some(g) = probe {
+            // No early exit: a hash hit is almost always a match, and the
+            // branch-free fold vectorizes.
+            let same = distinct[g]
+                .iter()
+                .zip(xs)
+                .fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()));
+            if same && distinct[g].len() == xs.len() {
+                break;
+            }
+            probe = older[g];
+        }
+        let group = probe.unwrap_or_else(|| {
+            distinct.push(xs);
+            older.push(newest.insert(key, distinct.len() - 1));
+            distinct.len() - 1
+        });
+        group_of.push(group);
+    }
+    (distinct, group_of)
 }
 
 impl fmt::Display for Characterization {
@@ -451,5 +520,75 @@ mod tests {
             serde_json::to_string(&full_serial).unwrap(),
             serde_json::to_string(&full_pooled).unwrap()
         );
+    }
+
+    #[test]
+    fn deduplicated_profiles_match_a_fresh_profile_of_each_series() {
+        let r = run(ExperimentConfig::fast(
+            Deployment::Virtualized,
+            WorkloadMix::BROWSING,
+        ));
+        let c = catalog();
+        let dt_s = r.config.sample_interval.as_secs_f64();
+        let mut series = Vec::new();
+        for host in &r.hosts {
+            for id in c.ids() {
+                if let Some(s) = r.store.get(host, id) {
+                    series.push((host.as_str(), id, s.values.as_slice()));
+                }
+            }
+        }
+        // Idle and aliased counters repeat: most series are duplicates.
+        let (distinct, _) = group_by_content(series.iter().map(|&(_, _, xs)| xs));
+        assert_eq!((series.len(), distinct.len()), (1008, 505));
+        let fc = full_characterize(&r, 2);
+        assert_eq!(fc.profiles.len(), series.len());
+        for (p, &(host, id, xs)) in fc.profiles.iter().zip(&series) {
+            let mut fresh = SeriesScratch::new();
+            fresh.load(xs);
+            let want = profile_loaded(&mut fresh, dt_s).expect("finite series profiles");
+            let got = (p.summary.clone(), p.fit, p.autocorr1, p.jumps, p.period);
+            assert_eq!(
+                (p.host.as_str(), p.metric.as_str()),
+                (host, c.def(id).name.as_str())
+            );
+            // Debug output spells every f64 exactly, signed zeros too.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{host}/{}",
+                p.metric
+            );
+        }
+    }
+
+    #[test]
+    fn grouping_keeps_signed_zeros_lengths_and_collisions_apart() {
+        let a: &[f64] = &[0.0, 1.0, 2.0];
+        let b: &[f64] = &[-0.0, 1.0, 2.0];
+        let prefix: &[f64] = &[0.0, 1.0];
+        let (distinct, group_of) = group_by_content([a, b, a, prefix, b].into_iter());
+        assert_eq!(distinct.len(), 3, "0.0 and -0.0 must not merge");
+        assert_eq!(group_of, vec![0, 1, 0, 2, 1]);
+
+        // Two different 2-sample series with the same hash: both words
+        // go to the tail hasher, so pick the second series' last word to
+        // bring it to the first one's state.
+        let state = |words: &[u64]| {
+            let mut h = IntHasher::default();
+            for &w in words {
+                h.write_u64(w);
+            }
+            h.finish().rotate_right(26)
+        };
+        let (x1, x2, y1) = (1.5f64.to_bits(), 2.5f64.to_bits(), 7.0f64.to_bits());
+        let y2 = state(&[2, y1]).rotate_left(5) ^ state(&[2, x1]).rotate_left(5) ^ x2;
+        let x = [f64::from_bits(x1), f64::from_bits(x2)];
+        let y = [f64::from_bits(y1), f64::from_bits(y2)];
+        assert_eq!(state(&[2, x1, x2]), state(&[2, y1, y2]));
+        assert_eq!(content_hash(&x), content_hash(&y), "constructed collision");
+        let (distinct, group_of) = group_by_content([&x[..], &y[..], &x[..]].into_iter());
+        assert_eq!(distinct.len(), 2, "a hash collision must not merge");
+        assert_eq!(group_of, vec![0, 1, 0]);
     }
 }

@@ -69,7 +69,8 @@ pub fn run_seeds_jobs(
 /// input order in the output — the generic engine behind
 /// [`run_seeds_jobs`] and the pooled characterization/report loops.
 ///
-/// Items are split into `jobs` contiguous chunks, one worker per chunk;
+/// Items are split into `jobs` contiguous chunks, one worker per chunk
+/// (a single chunk runs on the calling thread, spawning nothing);
 /// each worker builds one private workspace with `init` (e.g. a
 /// `SeriesScratch`) and folds it through its chunk serially, so `f` can
 /// reuse buffers without synchronization. Chunk results are concatenated
@@ -90,6 +91,12 @@ pub fn par_map_ordered_with<T: Sync, W, R: Send>(
     }
     let jobs = jobs.clamp(1, items.len());
     let chunk_len = items.len().div_ceil(jobs);
+    if chunk_len == items.len() {
+        // One chunk: run it on the calling thread. Audit checks land in
+        // the caller's collector directly, and a panic unwinds as is.
+        let mut workspace = init();
+        return items.iter().map(|item| f(&mut workspace, item)).collect();
+    }
     let audit_workers = audit::is_enabled();
 
     let worker = |chunk: &[T]| -> (Vec<R>, audit::AuditReport) {

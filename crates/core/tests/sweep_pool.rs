@@ -85,3 +85,26 @@ fn unaudited_sweep_leaves_caller_collector_untouched() {
     assert!(!audit::is_enabled());
     assert!(audit::take_report().is_clean());
 }
+
+#[test]
+fn single_chunk_runs_inline_with_the_same_results_audit_and_panics() {
+    let cfg = tiny();
+    let seeds = [2u64, 4, 6];
+    let audited = |jobs: usize| {
+        audit::enable();
+        let results = run_seeds_jobs(&cfg, &seeds, jobs);
+        let report = audit::take_report();
+        let bytes: Vec<Vec<u8>> = results.iter().map(store_bytes).collect();
+        (bytes, report.checks, report.violations_total)
+    };
+    // jobs 1 runs on the calling thread; jobs 3 spawns one worker per
+    // seed and absorbs their reports.
+    assert_eq!(audited(1), audited(3));
+
+    let mut bad = tiny();
+    bad.clients = 0;
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_seeds_jobs(&bad, &[1, 2], 1)
+    }));
+    assert!(result.is_err(), "an inline panic must reach the caller");
+}
