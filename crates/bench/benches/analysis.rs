@@ -8,12 +8,10 @@
 //!
 //! `--smoke` runs a reduced spectrum+lag comparison and exits non-zero
 //! if the fast path is slower than the naive engine (ci.sh gate).
-//! `--steps` prints the per-step split of profiling the `fast` paper
-//! catalog (load, summary, best_fit, autocorrelation, jumps,
-//! periodogram; µs per series) and its distinct-series count.
-//! `--json` re-measures every section and rewrites
-//! `results/BENCH_analysis.json` (set `BENCH_DATE=YYYY-MM-DD` to stamp
-//! the record).
+//! `--json` re-measures every section, including `characterize_steps`
+//! (the per-step split of profiling the `fast` paper catalog), and
+//! rewrites `results/BENCH_analysis.json` (set `BENCH_DATE=YYYY-MM-DD`
+//! to stamp the record).
 
 use cloudchar_analysis::{
     autocorrelation, detect_jumps, find_lag, find_lag_naive, fit_all, goertzel_periodogram,
@@ -194,8 +192,10 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64) {
         .len();
     let mut scratch = SeriesScratch::new();
     let per_series = |ns: u128| ns as f64 / 1e3 / series.len() as f64;
-    // Interleave the passes so machine noise reaches all of them alike.
+    // Interleave the passes, and the full pass, so machine noise
+    // reaches all of them alike.
     let mut best = [u128::MAX; STEPS.len()];
+    let mut full = u128::MAX;
     for _ in 0..reps {
         for (k, slot) in best.iter_mut().enumerate() {
             let ns = best_of(1, || {
@@ -203,6 +203,9 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64) {
             });
             *slot = (*slot).min(ns);
         }
+        full = full.min(best_of(1, || {
+            black_box(full_characterize(&r, 1).profiles.len());
+        }));
     }
     let mut previous = 0.0;
     let mut split = Vec::with_capacity(STEPS.len());
@@ -211,13 +214,10 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64) {
         split.push(pass - previous);
         previous = pass;
     }
-    let full = per_series(best_of(reps, || {
-        black_box(full_characterize(&r, 1).profiles.len());
-    }));
-    (series.len(), distinct, split, full)
+    (series.len(), distinct, split, per_series(full))
 }
 
-/// Print the per-step split (`--steps`) and return it as a JSON section.
+/// Print the per-step split and return it as a JSON section.
 fn characterize_steps_section() -> String {
     let (series, distinct, split, full) = characterize_steps(50);
     let total: f64 = split.iter().sum();
@@ -365,7 +365,7 @@ fn record_json() {
 
     let recorded = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unrecorded".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog\",\n  \"units\": \"ns/iter\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine.\"\n}}\n"
+        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, best of 50 interleaved passes where pass k runs steps 1..k (load, summary, best_fit, autocorrelation, jumps, periodogram) and step k is charged pass k minus pass k-1; distinct = series left after bitwise deduplication; full_characterize_jobs1_us_per_series = the deduplicated full_characterize(r, 1) divided by the series count.\"\n}}\n"
     );
     // cargo bench runs with cwd = the package root; anchor to the
     // workspace results/ directory regardless.
@@ -384,8 +384,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--smoke") {
         smoke();
-    } else if args.iter().any(|a| a == "--steps") {
-        characterize_steps_section();
     } else if args.iter().any(|a| a == "--json") {
         record_json();
     } else {

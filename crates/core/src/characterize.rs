@@ -286,11 +286,12 @@ fn group_by_content<'a>(
         while let Some(g) = probe {
             // No early exit: a hash hit is almost always a match, and the
             // branch-free fold vectorizes.
-            let same = distinct[g]
-                .iter()
-                .zip(xs)
-                .fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()));
-            if same && distinct[g].len() == xs.len() {
+            let same = distinct[g].len() == xs.len()
+                && distinct[g]
+                    .iter()
+                    .zip(xs)
+                    .fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()));
+            if same {
                 break;
             }
             probe = older[g];
