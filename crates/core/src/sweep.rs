@@ -11,7 +11,7 @@
 //! ## Concurrency model
 //!
 //! Seeds are split into `jobs` contiguous chunks, one worker thread per
-//! chunk. Each worker runs its seeds serially in order and returns its
+//! chunk; a single chunk runs on the calling thread. Each worker runs its seeds serially in order and returns its
 //! results as a block; the pool concatenates the blocks in chunk order,
 //! so the output is always in input-seed order regardless of which
 //! worker finished first. A worker panic propagates to the caller when
