@@ -24,6 +24,8 @@ fn virtualized_run_is_audit_clean() {
         report.summary()
     );
     assert!(report.violations.is_empty());
+    // Pinned so a cheaper disabled path can never drop an enabled check.
+    assert_eq!(report.checks, 277_222);
 }
 
 #[test]
@@ -40,6 +42,7 @@ fn non_virtualized_run_is_audit_clean() {
         "invariant violations: {}",
         report.summary()
     );
+    assert_eq!(report.checks, 115_221);
 }
 
 #[test]
