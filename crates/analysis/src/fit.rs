@@ -144,7 +144,9 @@ fn prepare(xs: &[f64]) -> Option<(Vec<f64>, f64, f64)> {
         return None;
     }
     let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
+    // Summed from +0.0 like `Moments::sum` (`Iterator::sum` starts at
+    // -0.0), so an all-(-0.0) series fits the same mean as the scratch.
+    let mean = xs.iter().fold(0.0, |acc, x| acc + x) / n;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(f64::total_cmp);

@@ -258,7 +258,7 @@ impl SeriesScratch {
 mod tests {
     use super::*;
     use crate::{
-        autocorrelation, best_fit, detect_jumps, dominant_periods, periodogram, summarize,
+        autocorrelation, best_fit, detect_jumps, dominant_periods, periodogram, summarize, Fitted,
     };
 
     fn series(n: usize, seed: u64) -> Vec<f64> {
@@ -296,6 +296,26 @@ mod tests {
                 &detect_jumps(&xs, 10, 5.0)[..]
             );
         }
+    }
+
+    #[test]
+    fn negative_zero_series_fits_like_the_free_function() {
+        // `==` treats 0.0 and -0.0 as equal, so compare the fitted
+        // parameters bit for bit.
+        fn bits(fit: Option<FitResult>) -> Vec<u64> {
+            let fit = fit.expect("16 finite samples fit");
+            let params = match fit.dist {
+                Fitted::Normal { mean, std_dev } => vec![mean, std_dev],
+                Fitted::Exponential { mean } => vec![mean],
+                Fitted::LogNormal { mu, sigma } => vec![mu, sigma],
+                Fitted::Uniform { lo, hi } => vec![lo, hi],
+            };
+            params.iter().map(|x| x.to_bits()).collect()
+        }
+        let xs = [-0.0; 16];
+        let mut scratch = SeriesScratch::new();
+        scratch.load(&xs);
+        assert_eq!(bits(scratch.best_fit()), bits(best_fit(&xs)));
     }
 
     #[test]
