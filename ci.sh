@@ -23,6 +23,14 @@ cargo run --release -p cloudchar-bench --bin repro -- --fast ratios --sweep 2 --
 echo "==> repro audit of the fault scenarios (exits 1 on any invariant violation)"
 cargo run --release -p cloudchar-bench --bin repro -- --audit --fast scenarios > /dev/null
 
+echo "==> repro audit of a single-host online run (exits 1 on any invariant violation)"
+cargo run --release -p cloudchar-bench --bin repro -- --audit --fast --online run > /dev/null
+
+echo "==> repro audit of a single-host traced run (exits 1 on any invariant violation)"
+trace_dir=$(mktemp -d)
+cargo run --release -p cloudchar-bench --bin repro -- --audit --fast --trace-out "$trace_dir" run > /dev/null
+rm -rf "$trace_dir"
+
 echo "==> repro audit of the fleet pod pipeline under db-crash (exits 1 on any invariant violation)"
 cargo run --release -p cloudchar-bench --bin repro -- --audit fleet --hosts 13 --jobs 2 --faults db-crash > /dev/null
 
