@@ -1,5 +1,5 @@
 //! Client-scaling benchmark: per-tick workload-generator cost, the
-//! retained per-client [`ClientPopulation`] + one-boxed-event-per-wake
+//! retained per-client [`ClientPopulation`] + one-event-per-wake
 //! oracle against the columnar [`ClientCohort`] + batched
 //! [`TimerWheel`] path that `core/workload.rs` runs in production.
 //!
@@ -7,7 +7,7 @@
 //! streams, identical wake nanoseconds, identical session math — and
 //! differ only in the generator machinery:
 //!
-//! * oracle: every wake is its own `Box<dyn FnOnce>` pushed through the
+//! * oracle: every wake is its own handler event pushed through the
 //!   calendar queue (the pre-cohort seed's shape — N live timer events
 //!   for N clients, one engine event per wake);
 //! * cohort: wakes land in coarse wheel buckets and one engine event
@@ -53,7 +53,7 @@ fn stagger(i: u32, n: u32) -> SimTime {
 }
 
 // ---------------------------------------------------------------------
-// Oracle driver: one boxed timer event per client wake.
+// Oracle driver: one engine event per client wake.
 // ---------------------------------------------------------------------
 
 struct OracleWorld {
@@ -63,14 +63,15 @@ struct OracleWorld {
     wakes: u64,
 }
 
-fn oracle_wake(engine: &mut Engine<OracleWorld>, world: &mut OracleWorld, id: u32) {
+fn oracle_wake(engine: &mut Engine<OracleWorld>, world: &mut OracleWorld, id: u64) {
+    let id = id as u32;
     world.wakes += 1;
     world.pop.advance(id, &mut world.rng);
     let think = world.pop.think_time(id, &mut world.rng);
     let i = id as usize;
     if world.remaining[i] > 0 {
         world.remaining[i] -= 1;
-        engine.schedule_in(think, move |e, w| oracle_wake(e, w, id));
+        engine.schedule_in(think, oracle_wake, u64::from(id));
     }
 }
 
@@ -84,7 +85,7 @@ fn drive_oracle(n: u32) -> Cost {
     };
     let mut engine: Engine<OracleWorld> = Engine::new();
     for id in 0..n {
-        engine.schedule_at(stagger(id, n), move |e, w| oracle_wake(e, w, id));
+        engine.schedule_at(stagger(id, n), oracle_wake, u64::from(id));
     }
     let events = engine.run(&mut world);
     Cost {
@@ -108,11 +109,12 @@ struct CohortWorld {
 
 fn arm_wake(engine: &mut Engine<CohortWorld>, world: &mut CohortWorld, id: u32, at: SimTime) {
     if let Some((slot, deadline)) = world.wheel.arm(at, id, 0) {
-        engine.schedule_at(deadline, move |e, w| cohort_fire(e, w, slot));
+        engine.schedule_at(deadline, cohort_fire, slot as u64);
     }
 }
 
-fn cohort_fire(engine: &mut Engine<CohortWorld>, world: &mut CohortWorld, slot: usize) {
+fn cohort_fire(engine: &mut Engine<CohortWorld>, world: &mut CohortWorld, slot: u64) {
+    let slot = slot as usize;
     if !world.wheel.begin_fire(slot, engine.now()) {
         return;
     }
@@ -135,7 +137,7 @@ fn cohort_fire(engine: &mut Engine<CohortWorld>, world: &mut CohortWorld, slot: 
             engine.advance_now_to(next);
         } else {
             world.wheel.commit(slot, next);
-            engine.schedule_at(next, move |e, w| cohort_fire(e, w, slot));
+            engine.schedule_at(next, cohort_fire, slot as u64);
             return;
         }
     }

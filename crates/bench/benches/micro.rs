@@ -10,6 +10,10 @@ use cloudchar_rubis::TransitionTable;
 use cloudchar_simcore::{Dist, Engine, Sample, SimDuration, SimRng, SimTime};
 use cloudchar_xen::{CreditScheduler, Demand, DomId, SchedParams};
 
+fn count_event(_: &mut Engine<u64>, count: &mut u64, _: u64) {
+    *count += 1;
+}
+
 /// Raw event-queue throughput: schedule + drain.
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine_10k_events", |b| {
@@ -17,9 +21,7 @@ fn bench_engine(c: &mut Criterion) {
             let mut engine: Engine<u64> = Engine::new();
             let mut world = 0u64;
             for i in 0..10_000u64 {
-                engine.schedule_at(SimTime::from_nanos(i * 7919 % 1_000_000), |_, w| {
-                    *w += 1;
-                });
+                engine.schedule_at(SimTime::from_nanos(i * 7919 % 1_000_000), count_event, i);
             }
             engine.run(&mut world);
             black_box(world)

@@ -154,10 +154,13 @@ fn start_map(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, token: u64
             sequential: true,
         },
     );
-    engine.schedule_at(read_done, move |_, w| {
-        let cycles = w.split_bytes() as f64 * w.cfg.map_cycles_per_byte * (0.9 + 0.2 * w.rng.f64()); // data skew
-        w.platform.submit_work(Tier::Web, WorkToken(token), cycles);
-    });
+    engine.schedule_at(read_done, map_compute, token);
+}
+
+/// A map task's input split is read: compute on it.
+fn map_compute(_: &mut Engine<BatchWorld>, w: &mut BatchWorld, token: u64) {
+    let cycles = w.split_bytes() as f64 * w.cfg.map_cycles_per_byte * (0.9 + 0.2 * w.rng.f64()); // data skew
+    w.platform.submit_work(Tier::Web, WorkToken(token), cycles);
 }
 
 fn start_reduce(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, token: u64) {
@@ -188,10 +191,7 @@ fn on_complete(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, token: u
                 },
             );
             let arrive = world.platform.net_web_db(engine.now(), true, spill);
-            engine.schedule_at(arrive, move |e, w| {
-                w.shuffle_arrived += w.shuffle_per_map();
-                maybe_start_reduce_phase(e, w);
-            });
+            engine.schedule_at(arrive, shuffle_arrival, 0);
             // Next pending map.
             if let Some(next) = world.pending_maps.pop() {
                 start_map(engine, world, next);
@@ -223,6 +223,12 @@ fn on_complete(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, token: u
     }
 }
 
+/// One map's shuffle data reached the reducer host.
+fn shuffle_arrival(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, _: u64) {
+    world.shuffle_arrived += world.shuffle_per_map();
+    maybe_start_reduce_phase(engine, world);
+}
+
 fn maybe_start_reduce_phase(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld) {
     // Reducers launch once every map's shuffle data has arrived
     // (non-speculative, barrier semantics).
@@ -242,7 +248,42 @@ fn maybe_start_reduce_phase(engine: &mut Engine<BatchWorld>, world: &mut BatchWo
     }
 }
 
-fn take_sample(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld) {
+/// Launch the first wave of `initial` maps.
+fn kick_off(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, initial: u64) {
+    for _ in 0..initial {
+        if let Some(t) = world.pending_maps.pop() {
+            start_map(engine, world, t);
+        }
+    }
+}
+
+/// Whether the periodic ticks keep running: until the job finishes or
+/// the deadline passes.
+fn ticking(engine: &Engine<BatchWorld>, world: &BatchWorld) -> bool {
+    world.job_finish.is_none() && engine.now() < SimTime::ZERO + world.cfg.deadline
+}
+
+fn quantum_tick(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, _: u64) {
+    let quantum = world.platform.quantum();
+    let mut done = Vec::new();
+    world.platform.tick(engine.now(), quantum, &mut done);
+    for (_, token) in done {
+        on_complete(engine, world, token.0);
+    }
+    world.platform.periodic(engine.now());
+    if ticking(engine, world) {
+        engine.schedule_in(quantum, quantum_tick, 0);
+    }
+}
+
+fn sample_tick(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld, _: u64) {
+    take_sample(world);
+    if ticking(engine, world) {
+        engine.schedule_in(world.cfg.sample_interval, sample_tick, 0);
+    }
+}
+
+fn take_sample(world: &mut BatchWorld) {
     let dt = world.cfg.sample_interval;
     let load = |running: u32| TierLoad {
         runq: f64::from(running),
@@ -265,7 +306,6 @@ fn take_sample(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld) {
         let host = world.store.host_id(s.host);
         world.store.record_row(host, start, dt, &world.sample_row);
     }
-    let _ = engine;
 }
 
 /// Run one batch job to completion (or its deadline).
@@ -309,32 +349,11 @@ pub fn run_batch(cfg: BatchConfig) -> BatchResult {
     let mut engine: Engine<BatchWorld> = Engine::new();
     let deadline = SimTime::ZERO + cfg.deadline;
 
-    // Kick off the first wave of maps.
+    // Kick off the first wave of maps, then the CPU quanta and sampling.
     let initial = cfg.slots.min(cfg.mappers);
-    engine.schedule_at(SimTime::ZERO, move |e, w| {
-        for _ in 0..initial {
-            if let Some(t) = w.pending_maps.pop() {
-                start_map(e, w, t);
-            }
-        }
-    });
-    // CPU quanta.
-    let quantum = world.platform.quantum();
-    engine.schedule_periodic(SimTime::ZERO + quantum, quantum, move |e, w| {
-        let mut done = Vec::new();
-        w.platform.tick(e.now(), quantum, &mut done);
-        for (_, token) in done {
-            on_complete(e, w, token.0);
-        }
-        w.platform.periodic(e.now());
-        w.job_finish.is_none() && e.now() < deadline
-    });
-    // Sampling.
-    let interval = cfg.sample_interval;
-    engine.schedule_periodic(SimTime::ZERO + interval, interval, move |e, w| {
-        take_sample(e, w);
-        w.job_finish.is_none() && e.now() < deadline
-    });
+    engine.schedule_at(SimTime::ZERO, kick_off, u64::from(initial));
+    engine.schedule_at(SimTime::ZERO + world.platform.quantum(), quantum_tick, 0);
+    engine.schedule_at(SimTime::ZERO + cfg.sample_interval, sample_tick, 0);
 
     engine.run_until(&mut world, deadline);
 

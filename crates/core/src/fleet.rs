@@ -495,7 +495,7 @@ fn build_pod(cfg: &FleetConfig, index: u32, master: &SimRng) -> PodShard {
         outbox: Vec::new(),
     };
     let mut engine: Engine<Pod> = Engine::new();
-    start(&mut engine, &mut pod, &base.faults);
+    start(&mut engine, &mut pod);
     PodShard { engine, pod }
 }
 

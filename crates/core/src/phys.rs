@@ -13,7 +13,7 @@ use crate::platform::{HostSample, Tier, TierLoad};
 use cloudchar_hw::memory::MIB;
 use cloudchar_hw::{IoKind, IoRequest, PhysicalServer, ServerSpec, WorkQueue, WorkToken};
 use cloudchar_monitor::{RawHostSample, Source};
-use cloudchar_simcore::{FaultKind, SimDuration, SimRng, SimTime};
+use cloudchar_simcore::{round_u64, FaultKind, SimDuration, SimRng, SimTime};
 
 /// Host-OS page-cache / journal behaviour.
 #[derive(Debug, Clone, Copy)]
@@ -142,11 +142,11 @@ impl PhysPlatform {
             let kernel_part = host.kernel_cycles.min(budget);
             host.kernel_cycles -= kernel_part;
             if kernel_part > 0.0 {
-                host.server.cycles.add(kernel_part.round() as u64);
+                host.server.cycles.add(round_u64(kernel_part));
             }
             let executed = host.work.drain(budget - kernel_part, &mut host.done);
             if executed > 0.0 {
-                host.server.cycles.add(executed.round() as u64);
+                host.server.cycles.add(round_u64(executed));
                 host.server.kernel.context_switches.add(
                     (executed / 5.0e6).ceil() as u64, // ~1 switch / 5M cycles
                 );

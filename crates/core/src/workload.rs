@@ -136,6 +136,9 @@ pub(crate) struct Stack {
     /// Armed only when this stack carries a non-empty fault plan. For
     /// an empty plan no events are scheduled and no RNG is drawn.
     faults_enabled: bool,
+    /// The fault plan this stack carries (empty when it carries none);
+    /// fault handlers read each event's kind from it.
+    faults: FaultPlan,
     /// Active injected error probability per tier (`[web, db]`).
     tier_error_p: [f64; 2],
     inflight: IntMap<u64, Request>,
@@ -215,6 +218,11 @@ impl Stack {
             rng: workload,
             fault_rng: faults,
             faults_enabled: faulty && !cfg.faults.is_empty(),
+            faults: if faulty {
+                cfg.faults.clone()
+            } else {
+                FaultPlan::default()
+            },
             tier_error_p: [0.0, 0.0],
             inflight: IntMap::default(),
             pending_web: VecDeque::new(),
@@ -290,40 +298,69 @@ fn tier_index(tier: Tier) -> usize {
 
 /// Schedule the server's own events: the scheduler quantum, 1 s
 /// housekeeping and the sampling tick, each until the end of the run,
-/// then the inject/clear events of `plan` when this stack carries
-/// faults. Call after the host has scheduled its own start-up events.
-pub(crate) fn start<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, plan: &FaultPlan) {
+/// then the inject/clear events of the stack's fault plan when it
+/// carries one. Call after the host has scheduled its own start-up
+/// events.
+pub(crate) fn start<H: Outcomes>(engine: &mut Engine<H>, host: &mut H) {
     let stack = host.stack();
-    let end = stack.end;
-    let quantum = stack.platform.quantum();
-    engine.schedule_periodic(SimTime::ZERO + quantum, quantum, move |e, h| {
-        let s = h.stack();
-        let mut done = std::mem::take(&mut s.completions_scratch);
-        done.clear();
-        s.platform.tick(e.now(), quantum, &mut done);
-        for (tier, token) in done.drain(..) {
-            on_cpu_complete(e, h, tier, token);
-        }
-        h.stack().completions_scratch = done;
-        e.now() < end
-    });
-    let second = SimDuration::from_secs(1);
-    engine.schedule_periodic(SimTime::ZERO + second, second, move |e, h| {
-        housekeeping(e.now(), h.stack());
-        e.now() < end
-    });
-    let interval = stack.sample_interval;
-    engine.schedule_periodic(SimTime::ZERO + interval, interval, move |e, h| {
-        h.on_sample();
-        take_sample(h.stack());
-        e.now() < end
-    });
+    engine.schedule_at(
+        SimTime::ZERO + stack.platform.quantum(),
+        quantum_tick::<H>,
+        0,
+    );
+    engine.schedule_at(SimTime::ZERO + HOUSEKEEPING, housekeeping_tick::<H>, 0);
+    engine.schedule_at(SimTime::ZERO + stack.sample_interval, sample_tick::<H>, 0);
     if stack.faults_enabled {
         // The plan was validated with its configuration.
-        fault::install(plan, engine, |e, h, _idx, kind, phase| {
-            apply_fault(e, h, kind, phase == FaultPhase::Inject);
-        });
+        fault::install(&stack.faults, engine, on_fault::<H>);
     }
+}
+
+/// Period of the web and DB tiers' housekeeping.
+const HOUSEKEEPING: SimDuration = SimDuration::from_secs(1);
+
+/// Each periodic tick re-arms itself after its work while the run has
+/// not ended, so it takes the sequence number a periodic callback
+/// re-armed at the same point would.
+fn quantum_tick<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, _: u64) {
+    let s = host.stack();
+    let quantum = s.platform.quantum();
+    let mut done = std::mem::take(&mut s.completions_scratch);
+    done.clear();
+    s.platform.tick(engine.now(), quantum, &mut done);
+    for (tier, token) in done.drain(..) {
+        on_cpu_complete(engine, host, tier, token);
+    }
+    let s = host.stack();
+    s.completions_scratch = done;
+    if engine.now() < s.end {
+        engine.schedule_in(quantum, quantum_tick::<H>, 0);
+    }
+}
+
+fn housekeeping_tick<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, _: u64) {
+    let s = host.stack();
+    housekeeping(engine.now(), s);
+    if engine.now() < s.end {
+        engine.schedule_in(HOUSEKEEPING, housekeeping_tick::<H>, 0);
+    }
+}
+
+fn sample_tick<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, _: u64) {
+    host.on_sample();
+    let s = host.stack();
+    take_sample(s);
+    if engine.now() < s.end {
+        engine.schedule_in(s.sample_interval, sample_tick::<H>, 0);
+    }
+}
+
+/// Fault handler armed by [`fault::install`]: the argument names the
+/// plan event and the phase.
+fn on_fault<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, arg: u64) {
+    let (idx, phase) = fault::decode(arg);
+    let kind = host.stack().faults.events[idx].kind.clone();
+    apply_fault(engine, host, &kind, phase == FaultPhase::Inject);
 }
 
 /// Interpret one fault transition: tier errors arm the per-tier error
@@ -380,7 +417,7 @@ pub(crate) fn admit<H: Outcomes>(
     );
     s.tcp_opened += 1;
     let arrive = s.platform.net_client_to_web(now, req_bytes);
-    engine.schedule_at(arrive, move |e, h| web_arrival(e, h, id));
+    engine.schedule_at(arrive, web_arrival::<H>, id);
     id
 }
 
@@ -426,7 +463,7 @@ fn on_cpu_complete<H: Outcomes>(
         (Tier::Web, Phase::WebScript) => next_query(engine, s, id),
         (Tier::Db, Phase::DbCpu) => {
             let barrier = req.io_barrier.max(engine.now());
-            engine.schedule_at(barrier, move |e, h| db_respond(e, h, id));
+            engine.schedule_at(barrier, db_respond::<H>, id);
         }
         (Tier::Web, Phase::WebRender) => finish_request(engine, s, id),
         (t, p) => panic!("completion {t:?} in phase {p:?} for request {id}"),
@@ -434,30 +471,29 @@ fn on_cpu_complete<H: Outcomes>(
 }
 
 /// Send the request's next query to the DB tier, or start rendering
-/// once every query has returned.
+/// once every query has returned. The query in transit stays at the
+/// front of the request's queue until the DB tier takes it.
 fn next_query<H: Outcomes>(engine: &mut Engine<H>, s: &mut Stack, id: u64) {
     let req = s.inflight.get_mut(&id).expect("request exists");
-    match req.queries.pop_front() {
-        Some(q) => {
-            // MySQL wire protocol request: ~90 bytes + parameters.
-            let bytes = 90 + s.rng.below(50);
-            let arrive = s.platform.net_web_db(engine.now(), true, bytes);
-            engine.schedule_at(arrive, move |e, h| db_execute(e, h, id, q));
-        }
-        None => {
-            req.phase = Phase::WebRender;
-            let resp = req.profile.response_bytes(req.db_bytes);
-            let cycles = s.web.connection_cycles(resp);
-            s.platform.submit_work(Tier::Web, WorkToken(id), cycles);
-        }
+    if req.queries.is_empty() {
+        req.phase = Phase::WebRender;
+        let resp = req.profile.response_bytes(req.db_bytes);
+        let cycles = s.web.connection_cycles(resp);
+        s.platform.submit_work(Tier::Web, WorkToken(id), cycles);
+    } else {
+        // MySQL wire protocol request: ~90 bytes + parameters.
+        let bytes = 90 + s.rng.below(50);
+        let arrive = s.platform.net_web_db(engine.now(), true, bytes);
+        engine.schedule_at(arrive, db_execute::<H>, id);
     }
 }
 
-fn db_execute<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64, q: Query) {
+fn db_execute<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
     let s = host.stack();
-    if !s.inflight.contains_key(&id) {
+    // A live request always has its in-transit query at the front.
+    let Some(q) = s.inflight.get_mut(&id).and_then(|r| r.queries.pop_front()) else {
         return; // request already failed while the query was in transit
-    }
+    };
     if s.faults_enabled && s.tier_fails(Tier::Db) {
         fail_request(engine, host, id, FailCause::Error);
         return;
@@ -485,12 +521,15 @@ fn db_respond<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
     // Protocol framing on top of row data.
     let resp = req.last_db_resp + 30;
     let arrive = s.platform.net_web_db(engine.now(), false, resp);
-    engine.schedule_at(arrive, move |e, h| {
-        let s = h.stack();
-        if s.inflight.contains_key(&id) {
-            next_query(e, s, id);
-        }
-    });
+    engine.schedule_at(arrive, db_reply::<H>, id);
+}
+
+/// The DB tier's response reached the web tier.
+fn db_reply<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
+    let s = host.stack();
+    if s.inflight.contains_key(&id) {
+        next_query(engine, s, id);
+    }
 }
 
 /// The render finished: the worker writes the PHP session file, frees
@@ -502,14 +541,16 @@ fn finish_request<H: Outcomes>(engine: &mut Engine<H>, s: &mut Stack, id: u64) {
     s.platform.disk_io(engine.now(), Tier::Web, io);
     release_worker(s);
     let delivered = s.platform.net_web_to_client(engine.now(), resp_bytes);
-    engine.schedule_at(delivered, move |e, h| {
-        // A request that failed meanwhile (client timeout) already
-        // handed its session to the retry path; its late delivery is
-        // dropped.
-        if let Some(req) = h.stack().inflight.remove(&id) {
-            H::served(e, h, req);
-        }
-    });
+    engine.schedule_at(delivered, deliver::<H>, id);
+}
+
+/// The response reached its client. A request that failed meanwhile
+/// (client timeout) already handed its session to the retry path; its
+/// late delivery is dropped.
+fn deliver<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
+    if let Some(req) = host.stack().inflight.remove(&id) {
+        H::served(engine, host, req);
+    }
 }
 
 /// A worker frees up: hand it to the next queued request, if any.
@@ -778,8 +819,7 @@ pub(crate) fn bootstrap(engine: &mut Engine<World>, world: &mut World) {
         let offset = Dist::Uniform { lo: 0.0, hi: ramp }.sample(&mut world.stack.rng);
         arm_wake(engine, world, session, SimTime::from_secs_f64(offset));
     }
-    let plan = world.cfg.faults.clone();
-    start(engine, world, &plan);
+    start(engine, world);
 }
 
 /// Arm `session`'s next wakeup (initial start, think time, retry
@@ -790,7 +830,7 @@ pub(crate) fn bootstrap(engine: &mut Engine<World>, world: &mut World) {
 fn arm_wake(engine: &mut Engine<World>, world: &mut World, session: u32, at: SimTime) {
     let epoch = world.clients.epoch(session);
     if let Some((slot, deadline)) = world.wheel.arm(at, session, epoch) {
-        engine.schedule_at(deadline, move |e, w| wheel_fire(e, w, slot));
+        engine.schedule_at(deadline, wheel_fire, slot as u64);
     }
 }
 
@@ -800,7 +840,8 @@ fn arm_wake(engine: &mut Engine<World>, world: &mut World, session: u32, at: Sim
 /// and keeps draining, batching many client wakes into this one engine
 /// dispatch. Each wake still observes its exact armed nanosecond on the
 /// clock, so the run is byte-identical to the per-client-event path.
-fn wheel_fire(engine: &mut Engine<World>, world: &mut World, slot: usize) {
+fn wheel_fire(engine: &mut Engine<World>, world: &mut World, slot: u64) {
+    let slot = slot as usize;
     if !world.wheel.begin_fire(slot, engine.now()) {
         return; // superseded by an earlier arm; the live event covers it
     }
@@ -819,7 +860,7 @@ fn wheel_fire(engine: &mut Engine<World>, world: &mut World, slot: usize) {
             engine.advance_now_to(next);
         } else {
             world.wheel.commit(slot, next);
-            engine.schedule_at(next, move |e, w| wheel_fire(e, w, slot));
+            engine.schedule_at(next, wheel_fire, slot as u64);
             return;
         }
     }
@@ -835,7 +876,7 @@ fn fire_request(engine: &mut Engine<World>, world: &mut World, session: u32) {
     let id = admit(engine, world, now, session, epoch, interaction);
     if world.stack.faults_enabled {
         let wait = SimDuration::from_secs_f64(world.policy.timeout_s);
-        let ev = engine.schedule_in(wait, move |e, w| request_timeout(e, w, id));
+        let ev = engine.schedule_in(wait, request_timeout, id);
         world
             .stack
             .inflight
@@ -881,13 +922,6 @@ mod tests {
         let mut client_rng = master.derive("clients");
         let clients = ClientCohort::new(cfg.clients, cfg.mix, &mut client_rng);
         World::new(cfg, stack, clients)
-    }
-
-    /// Deliver the response of request `id` as its delivery event would.
-    fn deliver(engine: &mut Engine<World>, world: &mut World, id: u64) {
-        if let Some(req) = world.stack.inflight.remove(&id) {
-            World::served(engine, world, req);
-        }
     }
 
     #[test]

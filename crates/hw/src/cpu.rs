@@ -12,6 +12,7 @@
 //! occupancy per request, yet produces exactly the observable the paper
 //! plots: cycles consumed per 2-second sample.
 
+use cloudchar_simcore::round_u64;
 use cloudchar_simcore::stats::Counter;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -130,7 +131,7 @@ impl WorkQueue {
                 }
             }
         }
-        self.executed.add(executed.round() as u64);
+        self.executed.add(round_u64(executed));
         cloudchar_simcore::audit::check(
             "hw.cpu.budget_respected",
             0,

@@ -23,10 +23,10 @@
 //!   (`BTreeMap` or explicitly sorted).
 //! * **CL004** — no bare `f64` `==`/`!=` against float literals in the
 //!   `analysis` crate; use epsilon comparisons or `is_normal()` guards.
-//! * **CL005** — no direct `.schedule_at(`/`.schedule_in(`/
-//!   `.schedule_periodic(` calls in fault-related library files: fault
-//!   timing must flow through `fault::install` so a `FaultPlan` stays
-//!   the single replayable source of truth.
+//! * **CL005** — no direct `.schedule_at(`/`.schedule_in(` calls in
+//!   fault-related library files: fault timing must flow through
+//!   `fault::install` so a `FaultPlan` stays the single replayable
+//!   source of truth.
 //! * **CL006** — no host-keyed `BTreeMap<(String, …)>` /
 //!   `BTreeMap<(HostLabel, …)>` maps in sampling-path files: the
 //!   per-tick record path is columnar (interned `HostId` + dense metric
@@ -569,7 +569,8 @@ mod tests {
         let d = scan_source("crates/simcore/tests/x.rs", "fn f() { x.unwrap(); }\n");
         assert!(d.is_empty());
         // CL005: fault library code scheduling engine events directly.
-        let src = "fn arm(e: &mut Engine<W>) { e.schedule_at(t, cb); e.schedule_in(d, cb); }\n";
+        let src =
+            "fn arm(e: &mut Engine<W>) { e.schedule_at(t, cb, 0); e.schedule_in(d, cb, 0); }\n";
         let d = scan_source("crates/core/src/faults.rs", src);
         assert_eq!(d.iter().filter(|d| d.rule == "CL005").count(), 2);
         // The same calls outside fault files are not CL005's business.

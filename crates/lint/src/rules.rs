@@ -139,7 +139,7 @@ fn line_rules(ast: &FileAst, out: &mut Vec<Diagnostic>) {
             );
         }
         if fault_lib {
-            for pat in [".schedule_at(", ".schedule_in(", ".schedule_periodic("] {
+            for pat in [".schedule_at(", ".schedule_in("] {
                 if line_has(m, pat) {
                     push_diag(out, "CL005", ast, lineno, format!(
                         "`{pat}` in fault code bypasses the FaultPlan path; route fault timing through fault::install so plans stay replayable"

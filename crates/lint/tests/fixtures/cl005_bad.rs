@@ -1,4 +1,4 @@
 //! CL005 fixture: fault code scheduling engine events directly.
-pub fn arm<W>(e: &mut Engine<W>, t: SimTime, cb: Callback<W>) {
-    e.schedule_at(t, cb);
+pub fn arm<W>(e: &mut Engine<W>, t: SimTime, cb: Handler<W>) {
+    e.schedule_at(t, cb, 0);
 }

@@ -159,7 +159,8 @@ struct WheelWorld {
     fired: Vec<(u64, u32)>,
 }
 
-fn wheel_fire(engine: &mut Engine<WheelWorld>, world: &mut WheelWorld, slot: usize) {
+fn wheel_fire(engine: &mut Engine<WheelWorld>, world: &mut WheelWorld, slot: u64) {
+    let slot = slot as usize;
     if !world.wheel.begin_fire(slot, engine.now()) {
         return;
     }
@@ -174,10 +175,15 @@ fn wheel_fire(engine: &mut Engine<WheelWorld>, world: &mut WheelWorld, slot: usi
             engine.advance_now_to(next);
         } else {
             world.wheel.commit(slot, next);
-            engine.schedule_at(next, move |e, w| wheel_fire(e, w, slot));
+            engine.schedule_at(next, wheel_fire, slot as u64);
             return;
         }
     }
+}
+
+/// The per-client-event oracle's handler: log the wakeup of `client`.
+fn log_wake(engine: &mut Engine<Vec<(u64, u32)>>, log: &mut Vec<(u64, u32)>, client: u64) {
+    log.push((engine.now().as_nanos(), client as u32));
 }
 
 proptest! {
@@ -197,9 +203,7 @@ proptest! {
         let mut log: Vec<(u64, u32)> = Vec::new();
         for (client, &ns) in deadlines.iter().enumerate() {
             let client = client as u32;
-            oracle.schedule_at(SimTime::from_nanos(ns), move |e, w: &mut Vec<(u64, u32)>| {
-                w.push((e.now().as_nanos(), client));
-            });
+            oracle.schedule_at(SimTime::from_nanos(ns), log_wake, u64::from(client));
         }
         oracle.run(&mut log);
 
@@ -214,7 +218,7 @@ proptest! {
         };
         for (client, &ns) in deadlines.iter().enumerate() {
             if let Some((slot, at)) = world.wheel.arm(SimTime::from_nanos(ns), client as u32, 0) {
-                engine.schedule_at(at, move |e, w| wheel_fire(e, w, slot));
+                engine.schedule_at(at, wheel_fire, slot as u64);
             }
         }
         engine.run(&mut world);

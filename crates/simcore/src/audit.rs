@@ -27,7 +27,7 @@
 //! recorded in deterministic simulation order — same seed, same report.
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Cap on *recorded* violations per report; the total count keeps
 /// incrementing past it so a hot broken invariant cannot balloon memory.
@@ -72,22 +72,29 @@ impl AuditReport {
 }
 
 thread_local! {
+    /// Mirrors `COLLECTOR.is_some()`: a const, drop-free cell, so reading
+    /// it is one thread-local load with no borrow flag and no lazy
+    /// initialization check.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
     static COLLECTOR: RefCell<Option<AuditReport>> = const { RefCell::new(None) };
 }
 
 /// Start auditing on this thread, discarding any previous report.
 pub fn enable() {
     COLLECTOR.with(|c| *c.borrow_mut() = Some(AuditReport::default()));
+    ENABLED.with(|e| e.set(true));
 }
 
 /// Whether auditing is active on this thread.
+#[inline]
 pub fn is_enabled() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
+    ENABLED.with(Cell::get)
 }
 
 /// Stop auditing and return the report accumulated since [`enable`].
 /// Returns an empty report when auditing was never enabled.
 pub fn take_report() -> AuditReport {
+    ENABLED.with(|e| e.set(false));
     COLLECTOR
         .with(|c| c.borrow_mut().take())
         .unwrap_or_default()
@@ -119,7 +126,11 @@ pub fn absorb(other: AuditReport) {
 ///
 /// No-op (beyond the flag read) when auditing is disabled, so check
 /// sites may sit on hot paths.
+#[inline]
 pub fn check(invariant: &str, sim_time_ns: u64, ok: bool, detail: impl FnOnce() -> String) {
+    if !is_enabled() {
+        return;
+    }
     COLLECTOR.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(report) = slot.as_mut() else { return };

@@ -1,9 +1,12 @@
 //! The discrete-event engine.
 //!
-//! An [`Engine`] owns a priority queue of timestamped actions over a world
-//! type `W`. Actions are `FnOnce(&mut Engine<W>, &mut W)` closures, so any
-//! handler may schedule or cancel further events. Ties in time are broken
-//! by insertion sequence number, which makes execution order total and
+//! An [`Engine`] owns a priority queue of timestamped events over a world
+//! type `W`. An event is a plain [`Handler`] function plus one `u64`
+//! argument — an id, slot or token — stored inline in the queue, so
+//! scheduling allocates nothing. Handlers receive the engine, so any
+//! handler may schedule or cancel further events; a periodic tick is a
+//! handler that schedules itself again. Ties in time are broken by
+//! insertion sequence number, which makes execution order total and
 //! deterministic.
 //!
 //! The pending set is a [`CalendarQueue`], which pops in exactly the
@@ -20,19 +23,27 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-type Action<W> = Box<dyn FnOnce(&mut Engine<W>, &mut W) + Send>;
+/// An event handler: runs at the event's time with the engine, the world
+/// and the argument the event was scheduled with.
+pub type Handler<W> = fn(&mut Engine<W>, &mut W, u64);
+
+/// A pending event's payload: the handler and its argument.
+struct Event<W> {
+    handler: Handler<W>,
+    arg: u64,
+}
 
 struct Entry<W> {
     time: SimTime,
     seq: u64,
-    action: Action<W>,
+    event: Event<W>,
 }
 
 /// Discrete-event simulation engine over a world `W`.
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<Action<W>>,
+    queue: CalendarQueue<Event<W>>,
     cancelled: IntSet<u64>,
     executed: u64,
     /// Hard cap on executed events; guards against runaway feedback loops.
@@ -87,7 +98,7 @@ impl<W> Engine<W> {
     pub fn peek_next_time(&mut self) -> Option<SimTime> {
         loop {
             let (time_ns, seq) = self.queue.peek()?;
-            if self.cancelled.contains(&seq) {
+            if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
                 let _ = self.queue.pop();
                 self.cancelled.remove(&seq);
                 continue;
@@ -124,14 +135,10 @@ impl<W> Engine<W> {
         self.now = t;
     }
 
-    /// Schedule `action` at absolute time `time`.
+    /// Schedule `handler(engine, world, arg)` at absolute time `time`.
     ///
     /// Panics if `time` is in the past — the engine never rewinds.
-    pub fn schedule_at(
-        &mut self,
-        time: SimTime,
-        action: impl FnOnce(&mut Engine<W>, &mut W) + Send + 'static,
-    ) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, handler: Handler<W>, arg: u64) -> EventId {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {} < {}",
@@ -140,18 +147,15 @@ impl<W> Engine<W> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(time.as_nanos(), seq, Box::new(action));
+        self.queue
+            .push(time.as_nanos(), seq, Event { handler, arg });
         EventId(seq)
     }
 
-    /// Schedule `action` after a relative delay.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        action: impl FnOnce(&mut Engine<W>, &mut W) + Send + 'static,
-    ) -> EventId {
+    /// Schedule `handler(engine, world, arg)` after a relative delay.
+    pub fn schedule_in(&mut self, delay: SimDuration, handler: Handler<W>, arg: u64) -> EventId {
         let t = self.now + delay;
-        self.schedule_at(t, action)
+        self.schedule_at(t, handler, arg)
     }
 
     /// Cancel a pending event. Cancelling an already-executed or unknown
@@ -161,14 +165,14 @@ impl<W> Engine<W> {
     }
 
     fn pop_next(&mut self) -> Option<Entry<W>> {
-        while let Some((time_ns, seq, action)) = self.queue.pop() {
-            if self.cancelled.remove(&seq) {
+        while let Some((time_ns, seq, event)) = self.queue.pop() {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
                 continue; // skip cancelled
             }
             return Some(Entry {
                 time: SimTime::from_nanos(time_ns),
                 seq,
-                action,
+                event,
             });
         }
         None
@@ -212,7 +216,7 @@ impl<W> Engine<W> {
                 "event limit exceeded ({}): probable scheduling feedback loop",
                 self.event_limit
             );
-            (entry.action)(self, world);
+            (entry.event.handler)(self, world, entry.event.arg);
         }
         self.executed - start_executed
     }
@@ -229,7 +233,7 @@ impl<W> Engine<W> {
                 // Put it back under its original sequence number; it
                 // belongs to a later epoch.
                 self.queue
-                    .push(entry.time.as_nanos(), entry.seq, entry.action);
+                    .push(entry.time.as_nanos(), entry.seq, entry.event);
                 break;
             }
             debug_assert!(entry.time >= self.now, "time went backwards");
@@ -252,38 +256,12 @@ impl<W> Engine<W> {
                 "event limit exceeded ({}): probable scheduling feedback loop",
                 self.event_limit
             );
-            (entry.action)(self, world);
+            (entry.event.handler)(self, world, entry.event.arg);
         }
         if deadline != SimTime::MAX && deadline > self.now {
             self.now = deadline;
         }
         self.executed - start_executed
-    }
-
-    /// Schedule `tick` to run every `interval` starting at `start`. The
-    /// callback returns `true` to keep ticking or `false` to stop.
-    pub fn schedule_periodic(
-        &mut self,
-        start: SimTime,
-        interval: SimDuration,
-        tick: impl FnMut(&mut Engine<W>, &mut W) -> bool + Send + 'static,
-    ) -> EventId {
-        assert!(
-            interval > SimDuration::ZERO,
-            "periodic interval must be > 0"
-        );
-        self.schedule_at(start, move |engine, world| {
-            periodic_step(engine, world, interval, tick);
-        })
-    }
-}
-
-fn periodic_step<W, F>(engine: &mut Engine<W>, world: &mut W, interval: SimDuration, mut tick: F)
-where
-    F: FnMut(&mut Engine<W>, &mut W) -> bool + Send + 'static,
-{
-    if tick(engine, world) {
-        engine.schedule_in(interval, move |e, w| periodic_step(e, w, interval, tick));
     }
 }
 
@@ -291,50 +269,59 @@ where
 mod tests {
     use super::*;
 
+    /// Each handler logs `(clock, arg)`.
     #[derive(Default)]
     struct World {
-        log: Vec<(u64, &'static str)>,
+        log: Vec<(u64, u64)>,
+        ticks: u64,
     }
 
     fn at(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
+    fn record(e: &mut Engine<World>, w: &mut World, arg: u64) {
+        w.log.push((e.now().as_nanos(), arg));
+    }
+
+    fn noop(_: &mut Engine<World>, _: &mut World, _: u64) {}
+
+    fn args(w: &World) -> Vec<u64> {
+        w.log.iter().map(|&(_, a)| a).collect()
+    }
+
     #[test]
     fn executes_in_time_order() {
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        eng.schedule_at(at(3), |e, w| w.log.push((e.now().as_nanos(), "c")));
-        eng.schedule_at(at(1), |e, w| w.log.push((e.now().as_nanos(), "a")));
-        eng.schedule_at(at(2), |e, w| w.log.push((e.now().as_nanos(), "b")));
+        eng.schedule_at(at(3), record, 3);
+        eng.schedule_at(at(1), record, 1);
+        eng.schedule_at(at(2), record, 2);
         eng.run(&mut w);
-        let names: Vec<_> = w.log.iter().map(|(_, n)| *n).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
+        assert_eq!(args(&w), vec![1, 2, 3]);
     }
 
     #[test]
     fn fifo_among_simultaneous_events() {
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        for name in ["first", "second", "third"] {
-            eng.schedule_at(at(5), move |_, w| w.log.push((0, name)));
+        for arg in [10, 20, 30] {
+            eng.schedule_at(at(5), record, arg);
         }
         eng.run(&mut w);
-        let names: Vec<_> = w.log.iter().map(|(_, n)| *n).collect();
-        assert_eq!(names, vec!["first", "second", "third"]);
+        assert_eq!(args(&w), vec![10, 20, 30]);
     }
 
     #[test]
     fn handlers_can_schedule_more_events() {
+        fn outer(e: &mut Engine<World>, _: &mut World, arg: u64) {
+            e.schedule_in(SimDuration::from_secs(1), record, arg + 1);
+        }
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        eng.schedule_at(at(1), |e, _| {
-            e.schedule_in(SimDuration::from_secs(1), |_, w: &mut World| {
-                w.log.push((0, "nested"));
-            });
-        });
+        eng.schedule_at(at(1), outer, 41);
         eng.run(&mut w);
-        assert_eq!(w.log.len(), 1);
+        assert_eq!(w.log, vec![(at(2).as_nanos(), 42)]);
         assert_eq!(eng.now(), at(2));
     }
 
@@ -342,11 +329,11 @@ mod tests {
     fn cancel_prevents_execution() {
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        let id = eng.schedule_at(at(1), |_, w| w.log.push((0, "cancelled")));
-        eng.schedule_at(at(2), |_, w| w.log.push((0, "kept")));
+        let id = eng.schedule_at(at(1), record, 1);
+        eng.schedule_at(at(2), record, 2);
         eng.cancel(id);
         eng.run(&mut w);
-        assert_eq!(w.log, vec![(0, "kept")]);
+        assert_eq!(args(&w), vec![2]);
     }
 
     #[test]
@@ -361,60 +348,65 @@ mod tests {
     fn run_until_stops_at_deadline_and_advances_clock() {
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        eng.schedule_at(at(1), |_, w| w.log.push((0, "early")));
-        eng.schedule_at(at(10), |_, w| w.log.push((0, "late")));
+        eng.schedule_at(at(1), record, 1);
+        eng.schedule_at(at(10), record, 10);
         let n = eng.run_until(&mut w, at(5));
         assert_eq!(n, 1);
         assert_eq!(eng.now(), at(5));
-        assert_eq!(w.log, vec![(0, "early")]);
+        assert_eq!(args(&w), vec![1]);
         eng.run(&mut w);
-        assert_eq!(w.log.len(), 2);
+        assert_eq!(args(&w), vec![1, 10]);
         assert_eq!(eng.now(), at(10));
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
+        fn back(e: &mut Engine<World>, _: &mut World, _: u64) {
+            e.schedule_at(at(1), noop, 0);
+        }
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        eng.schedule_at(at(5), |e, _| {
-            e.schedule_at(at(1), |_, _| {});
-        });
+        eng.schedule_at(at(5), back, 0);
         eng.run(&mut w);
     }
 
     #[test]
     fn periodic_runs_until_told_to_stop() {
+        fn tick(e: &mut Engine<World>, w: &mut World, interval_s: u64) {
+            w.ticks += 1;
+            w.log.push((e.now().as_nanos(), w.ticks));
+            if w.ticks < 4 {
+                e.schedule_in(SimDuration::from_secs(interval_s), tick, interval_s);
+            }
+        }
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        let mut count = 0;
-        eng.schedule_periodic(at(0), SimDuration::from_secs(2), move |e, w| {
-            count += 1;
-            w.log.push((e.now().as_nanos(), "tick"));
-            count < 4
-        });
+        eng.schedule_at(at(0), tick, 2);
         eng.run(&mut w);
-        assert_eq!(w.log.len(), 4);
-        let times: Vec<u64> = w.log.iter().map(|(t, _)| *t).collect();
+        let times: Vec<u64> = w.log.iter().map(|&(t, _)| t).collect();
         assert_eq!(times, vec![0, 2_000_000_000, 4_000_000_000, 6_000_000_000]);
     }
 
     #[test]
     #[should_panic(expected = "event limit exceeded")]
     fn event_limit_trips_on_feedback_loop() {
+        fn forever(e: &mut Engine<World>, _: &mut World, _: u64) {
+            e.schedule_in(SimDuration::from_nanos(1), forever, 0);
+        }
         let mut eng: Engine<World> = Engine::new();
         eng.set_event_limit(100);
         let mut w = World::default();
-        eng.schedule_periodic(at(0), SimDuration::from_nanos(1), |_, _| true);
+        eng.schedule_at(at(0), forever, 0);
         eng.run(&mut w);
     }
 
     #[test]
     fn peek_next_time_skips_cancelled_heads() {
         let mut eng: Engine<World> = Engine::new();
-        let a = eng.schedule_at(at(1), |_, _| {});
-        let b = eng.schedule_at(at(2), |_, _| {});
-        eng.schedule_at(at(3), |_, _| {});
+        let a = eng.schedule_at(at(1), noop, 0);
+        let b = eng.schedule_at(at(2), noop, 0);
+        eng.schedule_at(at(3), noop, 0);
         eng.cancel(a);
         eng.cancel(b);
         assert_eq!(eng.peek_next_time(), Some(at(3)));
@@ -432,26 +424,28 @@ mod tests {
 
     #[test]
     fn advance_now_to_moves_clock_inside_handler() {
+        fn batched(e: &mut Engine<World>, w: &mut World, arg: u64) {
+            e.advance_now_to(at(4));
+            record(e, w, arg);
+        }
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        eng.schedule_at(at(1), |e, w: &mut World| {
-            e.advance_now_to(at(4));
-            w.log.push((e.now().as_nanos(), "batched"));
-        });
-        eng.schedule_at(at(5), |e, w: &mut World| {
-            w.log.push((e.now().as_nanos(), "next"));
-        });
+        eng.schedule_at(at(1), batched, 1);
+        eng.schedule_at(at(5), record, 2);
         eng.run(&mut w);
-        let times: Vec<u64> = w.log.iter().map(|(t, _)| *t).collect();
+        let times: Vec<u64> = w.log.iter().map(|&(t, _)| t).collect();
         assert_eq!(times, vec![4_000_000_000, 5_000_000_000]);
     }
 
     #[test]
     #[should_panic(expected = "cannot rewind the clock")]
     fn advance_now_to_rejects_rewind() {
+        fn rewind(e: &mut Engine<World>, _: &mut World, _: u64) {
+            e.advance_now_to(at(1));
+        }
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
-        eng.schedule_at(at(3), |e, _| e.advance_now_to(at(1)));
+        eng.schedule_at(at(3), rewind, 0);
         eng.run(&mut w);
     }
 
@@ -460,7 +454,7 @@ mod tests {
         let mut eng: Engine<World> = Engine::new();
         let mut w = World::default();
         for i in 0..10 {
-            eng.schedule_at(at(i), |_, _| {});
+            eng.schedule_at(at(i), noop, i);
         }
         assert_eq!(eng.pending(), 10);
         assert_eq!(eng.run(&mut w), 10);

@@ -9,9 +9,9 @@
 //! seed therefore reproduces the same run bit-for-bit.
 //!
 //! The crate is deliberately mechanism-free: it knows *when* faults start
-//! and stop, never *how* they are applied. Higher layers pass an `apply`
-//! callback to [`install`] that interprets each [`FaultKind`] against
-//! their world (hypervisor, hardware devices, workload generator). This
+//! and stop, never *how* they are applied. Higher layers pass a handler
+//! to [`install`] that interprets each [`FaultKind`] against their world
+//! (hypervisor, hardware devices, workload generator). This
 //! keeps `simcore` dependency-free and lets tests drive plans against toy
 //! worlds.
 //!
@@ -22,7 +22,7 @@
 //! CL005 flags fault code that calls the engine's `schedule_*` methods
 //! directly.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Handler};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -311,36 +311,38 @@ pub enum FaultPhase {
 
 /// Schedule every event of `plan` on `engine` as an inject/clear pair.
 ///
-/// `apply(engine, world, event_index, kind, phase)` is invoked at the
-/// event's `at_s` with [`FaultPhase::Inject`] and at `at_s + duration_s`
-/// with [`FaultPhase::Clear`]. This is the **only** sanctioned place
-/// fault code touches the engine's scheduler (lint rule CL005); routing
-/// all fault timing through here is what makes plans replayable.
+/// Both events of plan event `idx` run `on_fault`: at its `at_s` with
+/// [`FaultPhase::Inject`] and at `at_s + duration_s` with
+/// [`FaultPhase::Clear`]. The handler's argument packs the pair as
+/// `idx << 1 | phase` (0 inject, 1 clear); [`decode`] unpacks it, and
+/// the handler reads the [`FaultKind`] from the world's own copy of
+/// the plan. This is the **only** sanctioned place fault code touches
+/// the engine's scheduler (lint rule CL005); routing all fault timing
+/// through here is what makes plans replayable.
 ///
 /// Returns the number of engine events scheduled (2 × plan length). An
 /// empty plan schedules nothing and leaves the engine untouched.
 ///
 /// Panics if the engine clock has advanced past an event's inject time;
 /// call `install` at simulation start.
-pub fn install<W, F>(plan: &FaultPlan, engine: &mut Engine<W>, apply: F) -> usize
-where
-    F: Fn(&mut Engine<W>, &mut W, usize, &FaultKind, FaultPhase) + Clone + Send + 'static,
-{
-    let mut scheduled = 0;
+pub fn install<W>(plan: &FaultPlan, engine: &mut Engine<W>, on_fault: Handler<W>) -> usize {
     for (idx, ev) in plan.events.iter().enumerate() {
-        let inject_kind = ev.kind.clone();
-        let clear_kind = ev.kind.clone();
-        let on_inject = apply.clone();
-        let on_clear = apply.clone();
-        engine.schedule_at(SimTime::from_secs_f64(ev.at_s), move |e, w| {
-            on_inject(e, w, idx, &inject_kind, FaultPhase::Inject);
-        });
-        engine.schedule_at(SimTime::from_secs_f64(ev.clear_s()), move |e, w| {
-            on_clear(e, w, idx, &clear_kind, FaultPhase::Clear);
-        });
-        scheduled += 2;
+        let arg = (idx as u64) << 1;
+        engine.schedule_at(SimTime::from_secs_f64(ev.at_s), on_fault, arg);
+        engine.schedule_at(SimTime::from_secs_f64(ev.clear_s()), on_fault, arg | 1);
     }
-    scheduled
+    2 * plan.events.len()
+}
+
+/// Unpack the argument [`install`] gave a fault handler into the plan
+/// event's index and the phase.
+pub fn decode(arg: u64) -> (usize, FaultPhase) {
+    let phase = if arg & 1 == 0 {
+        FaultPhase::Inject
+    } else {
+        FaultPhase::Clear
+    };
+    ((arg >> 1) as usize, phase)
 }
 
 #[cfg(test)]
@@ -367,12 +369,15 @@ mod tests {
         entries: Vec<(f64, usize, FaultPhase)>,
     }
 
+    fn log_fault(e: &mut Engine<Log>, w: &mut Log, arg: u64) {
+        let (idx, phase) = decode(arg);
+        w.entries.push((e.now().as_secs_f64(), idx, phase));
+    }
+
     fn run_plan(p: &FaultPlan) -> Log {
         let mut engine: Engine<Log> = Engine::new();
         let mut log = Log::default();
-        install(p, &mut engine, |e, w: &mut Log, idx, _kind, phase| {
-            w.entries.push((e.now().as_secs_f64(), idx, phase));
-        });
+        install(p, &mut engine, log_fault);
         engine.run(&mut log);
         log
     }
@@ -380,7 +385,7 @@ mod tests {
     #[test]
     fn empty_plan_schedules_nothing() {
         let mut engine: Engine<Log> = Engine::new();
-        let n = install(&FaultPlan::default(), &mut engine, |_, _, _, _, _| {});
+        let n = install(&FaultPlan::default(), &mut engine, log_fault);
         assert_eq!(n, 0);
         assert_eq!(engine.pending(), 0);
     }

@@ -7,7 +7,7 @@
 //! The crate provides twelve building blocks:
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`],
-//!   [`SimDuration`]);
+//!   [`SimDuration`]) and float-to-integer rounding ([`round_u64`]);
 //! * [`audit`] — opt-in runtime invariant checks ([`AuditReport`]);
 //! * [`bits`] — MSB-first bit-level I/O for the compressed trace codec
 //!   ([`BitWriter`], [`BitReader`]);
@@ -37,12 +37,17 @@
 //!
 //! struct World { pings: u32 }
 //!
+//! // A periodic tick is a handler that re-arms itself.
+//! fn ping(engine: &mut Engine<World>, world: &mut World, interval_s: u64) {
+//!     world.pings += 1;
+//!     if world.pings < 5 {
+//!         engine.schedule_in(SimDuration::from_secs(interval_s), ping, interval_s);
+//!     }
+//! }
+//!
 //! let mut engine: Engine<World> = Engine::new();
 //! let mut world = World { pings: 0 };
-//! engine.schedule_periodic(SimTime::ZERO, SimDuration::from_secs(2), |_, w| {
-//!     w.pings += 1;
-//!     w.pings < 5
-//! });
+//! engine.schedule_at(SimTime::ZERO, ping, 2);
 //! engine.run(&mut world);
 //! assert_eq!(world.pings, 5);
 //! assert_eq!(engine.now(), SimTime::from_secs(8));
@@ -66,12 +71,12 @@ pub mod wheel;
 pub use audit::AuditReport;
 pub use bits::{BitReader, BitWriter};
 pub use dist::{Dist, Sample};
-pub use engine::{Engine, EventId};
+pub use engine::{Engine, EventId, Handler};
 pub use fault::{FaultEvent, FaultKind, FaultPhase, FaultPlan, FaultTier};
 pub use hash::{IntHasher, IntMap, IntSet};
 pub use queue::CalendarQueue;
 pub use rng::SimRng;
 pub use shard::{RunMode, ShardCtx, ShardId, ShardLogic, ShardStats, ShardedEngine, Topology};
 pub use stats::{Counter, Ewma, LogHistogram, Welford};
-pub use time::{SimDuration, SimTime};
+pub use time::{round_u64, SimDuration, SimTime};
 pub use wheel::TimerWheel;

@@ -17,7 +17,8 @@
 //! * **bottom** — the events being drained, sorted *descending* by key
 //!   so the next event pops from the tail in `O(1)`. Bottom is built
 //!   from one bucket at a time and is therefore small; late inserts
-//!   below its time bound (`bottom_end`) join it by binary search.
+//!   below its time bound (`bottom_end`) join it at the tail when they
+//!   precede every entry there, by binary search otherwise.
 //! * **rungs** — a stack of bucket arrays whose spans tile
 //!   `[bottom_end, ladder end)` contiguously, finest (innermost) rung
 //!   last. An insert walks inner→outer to the first rung covering its
@@ -29,6 +30,10 @@
 //!   the ladder is exhausted, top is re-bucketed into a fresh rung sized
 //!   to its observed time span — the queue tracks the workload's time
 //!   scale with no tuning knobs.
+//!
+//! Bucket vectors and rung arrays that run empty are kept, capacity and
+//! all, and reused for the next rung, so a queue in steady state
+//! allocates nothing.
 //!
 //! ## Ordering contract
 //!
@@ -81,27 +86,17 @@ struct Rung<V> {
 
 impl<V> Rung<V> {
     /// Append an item; requires `start <= item.time` and
-    /// `item.time < self.end`.
-    fn place(&mut self, item: Item<V>) {
+    /// `item.time < self.end`. A bucket's first item gives it a spare
+    /// vector, so only buckets in use hold memory.
+    fn place(&mut self, item: Item<V>, spare: &mut Vec<Vec<Item<V>>>) {
         let idx = ((item.time - self.start) / self.width) as usize;
-        self.buckets[idx].push(item);
-    }
-}
-
-/// Build a rung of `>= 2` buckets tiling exactly `[start, start + span)`.
-/// `width * count` may overshoot `span` when `width` does not divide it;
-/// the stored `end` truncates the last bucket so coverage never exceeds
-/// the requested span (an overshooting end would overlap an outer rung's
-/// remaining buckets and break pop ordering).
-fn new_rung<V>(start: u64, span: u128, at_most: usize) -> Rung<V> {
-    let buckets = at_most.clamp(2, MAX_BUCKETS) as u128;
-    let width = span.div_ceil(buckets).max(1) as u64;
-    let count = span.div_ceil(width as u128) as usize;
-    Rung {
-        start,
-        width,
-        end: start as u128 + span,
-        buckets: (0..count.max(1)).map(|_| Vec::new()).collect(),
+        let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            if let Some(v) = spare.pop() {
+                *bucket = v;
+            }
+        }
+        bucket.push(item);
     }
 }
 
@@ -121,6 +116,11 @@ pub struct CalendarQueue<V> {
     /// Events at or past the ladder's end, unsorted.
     top: Vec<Item<V>>,
     len: usize,
+    /// Emptied bucket vectors, kept with their capacity for the next
+    /// rung, so a steady state allocates nothing.
+    spare_buckets: Vec<Vec<Item<V>>>,
+    /// Emptied bucket arrays of exhausted rungs, kept for reuse.
+    spare_rungs: Vec<VecDeque<Vec<Item<V>>>>,
 }
 
 impl<V> Default for CalendarQueue<V> {
@@ -139,6 +139,8 @@ impl<V> CalendarQueue<V> {
             rungs: Vec::new(),
             top: Vec::new(),
             len: 0,
+            spare_buckets: Vec::new(),
+            spare_rungs: Vec::new(),
         }
     }
 
@@ -159,11 +161,15 @@ impl<V> CalendarQueue<V> {
         let item = Item { time, seq, value };
         if (time as u128) < self.bottom_end {
             // The common case here — an event just ahead of the clock,
-            // smaller than everything in bottom — lands at the tail:
-            // `partition_point` returns `bottom.len()`, a plain push.
+            // smaller than everything in bottom — lands at the tail with
+            // no search.
             let key = item.key();
-            let pos = self.bottom.partition_point(|it| it.key() > key);
-            self.bottom.insert(pos, item);
+            if self.bottom.last().map_or(true, |tail| key < tail.key()) {
+                self.bottom.push(item);
+            } else {
+                let pos = self.bottom.partition_point(|it| it.key() > key);
+                self.bottom.insert(pos, item);
+            }
             return;
         }
         // Innermost (earliest-covering) rung first; rung spans tile
@@ -171,7 +177,7 @@ impl<V> CalendarQueue<V> {
         // exceeds `time` covers it.
         for rung in self.rungs.iter_mut().rev() {
             if (time as u128) < rung.end {
-                rung.place(item);
+                rung.place(item, &mut self.spare_buckets);
                 return;
             }
         }
@@ -210,8 +216,10 @@ impl<V> CalendarQueue<V> {
                 self.rebuild_from_top();
                 continue;
             };
-            let Some(bucket) = rung.buckets.pop_front() else {
-                self.rungs.pop();
+            let Some(mut bucket) = rung.buckets.pop_front() else {
+                if let Some(done) = self.rungs.pop() {
+                    self.spare_rungs.push(done.buckets);
+                }
                 continue;
             };
             let b_start = rung.start;
@@ -224,6 +232,7 @@ impl<V> CalendarQueue<V> {
             // the rung's final bucket and `start` is never read again.
             rung.start = b_end.min(u64::MAX as u128) as u64;
             if bucket.is_empty() {
+                self.recycle(bucket);
                 continue;
             }
             let same_time = bucket.len() > 1 && {
@@ -236,19 +245,20 @@ impl<V> CalendarQueue<V> {
                 || same_time
                 || self.rungs.len() >= MAX_RUNGS
             {
-                let mut bucket = bucket;
                 bucket.sort_unstable_by(|a, b| b.key().cmp(&a.key()));
-                self.bottom = bucket;
+                let drained = std::mem::replace(&mut self.bottom, bucket);
+                self.recycle(drained);
                 self.bottom_end = b_end;
                 return;
             }
             // Split: a finer rung tiling exactly the popped bucket's
             // slot, so rung coverage stays contiguous. Width shrinks at
             // least 2x per split, so depth is bounded by log2(span).
-            let mut finer = new_rung(b_start, b_span, bucket.len() / SORT_THRESHOLD);
-            for it in bucket {
-                finer.place(it);
+            let mut finer = self.new_rung(b_start, b_span, bucket.len() / SORT_THRESHOLD);
+            for it in bucket.drain(..) {
+                finer.place(it, &mut self.spare_buckets);
             }
+            self.recycle(bucket);
             self.rungs.push(finer);
         }
     }
@@ -264,14 +274,43 @@ impl<V> CalendarQueue<V> {
             max_t = max_t.max(it.time);
         }
         let span = (max_t - min_t) as u128 + 1;
-        let mut rung = new_rung(min_t, span, self.top.len() / SORT_THRESHOLD);
-        for it in std::mem::take(&mut self.top) {
-            rung.place(it);
+        let mut rung = self.new_rung(min_t, span, self.top.len() / SORT_THRESHOLD);
+        for it in self.top.drain(..) {
+            rung.place(it, &mut self.spare_buckets);
         }
         self.rungs.push(rung);
         // Pushes earlier than the new ladder may still arrive; they
         // belong to bottom (currently empty) and pop first.
         self.bottom_end = min_t as u128;
+    }
+
+    /// Keep an emptied bucket vector for reuse, unless it never
+    /// allocated.
+    fn recycle(&mut self, bucket: Vec<Item<V>>) {
+        debug_assert!(bucket.is_empty());
+        if bucket.capacity() > 0 {
+            self.spare_buckets.push(bucket);
+        }
+    }
+
+    /// Build a rung of `>= 2` buckets tiling exactly `[start, start +
+    /// span)`, reusing a spare bucket array where there is one. `width * count`
+    /// may overshoot `span` when `width` does not divide it; the stored
+    /// `end` truncates the last bucket so coverage never exceeds the
+    /// requested span (an overshooting end would overlap an outer rung's
+    /// remaining buckets and break pop ordering).
+    fn new_rung(&mut self, start: u64, span: u128, at_most: usize) -> Rung<V> {
+        let buckets = at_most.clamp(2, MAX_BUCKETS) as u128;
+        let width = span.div_ceil(buckets).max(1) as u64;
+        let count = span.div_ceil(width as u128) as usize;
+        let mut rung = Rung {
+            start,
+            width,
+            end: start as u128 + span,
+            buckets: self.spare_rungs.pop().unwrap_or_default(),
+        };
+        rung.buckets.resize_with(count.max(1), Vec::new);
+        rung
     }
 }
 

@@ -9,6 +9,25 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+/// `x.round() as u64` without the floating-point `round`, which targets
+/// without a rounding instruction (baseline x86-64) compile to a library
+/// call: round half away from zero, NaN and negatives give 0, values at
+/// or above 2⁶⁴ give `u64::MAX`.
+///
+/// Truncation leaves an exact fractional part `x - t` (for `x < 2⁵²` both
+/// are in the same binade or `t` is 0; above it `x` is already whole),
+/// so comparing it with 0.5 rounds exactly — unlike `floor(x + 0.5)`,
+/// whose addition rounds `0.49999999999999994` up to 1.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// A point in simulated time, in nanoseconds since simulation start.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -52,7 +71,7 @@ impl SimTime {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid SimTime seconds: {s}");
-        SimTime((s * 1e9).round() as u64)
+        SimTime(round_u64(s * 1e9))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -111,7 +130,7 @@ impl SimDuration {
             s.is_finite() && s >= 0.0,
             "invalid SimDuration seconds: {s}"
         );
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -132,7 +151,7 @@ impl SimDuration {
     /// Multiply by a non-negative scalar, rounding to the nearest nanosecond.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "invalid duration scale: {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
 
     /// Integer division into `n` equal parts (truncating).

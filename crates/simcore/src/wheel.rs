@@ -17,6 +17,15 @@
 //! precision; bucketing only coarsens *which engine event* wakes a
 //! client, never *when* the client observes the clock.
 //!
+//! Each bucket keeps a plain vector, its *run*. Arming appends; the
+//! first drain query sorts the run once, descending, so due entries pop
+//! from its tail. An entry armed into a bucket being drained (a short
+//! delay) extends the run's tail when it is due before all of it and
+//! otherwise joins a small per-bucket heap of stragglers; draining
+//! merges the two by key. A bucket that empties goes back to appending.
+//! One sort per bucket visit is much cheaper than a heap push and pop
+//! per wakeup.
+//!
 //! The ring is modular: slot = `(deadline / width) mod nbuckets`. Two
 //! deadlines a full revolution apart share a slot; that costs a heap
 //! probe, never correctness, because due entries are selected by exact
@@ -39,7 +48,13 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Bucket {
-    heap: BinaryHeap<Reverse<Entry>>,
+    /// Pending entries; while `sorted`, descending by
+    /// `(deadline, arm_seq)`, so the run's next due entry is last.
+    run: Vec<Entry>,
+    sorted: bool,
+    /// Entries armed while `sorted` that are not due before the whole
+    /// run; merged with the run at drain time.
+    late: BinaryHeap<Reverse<Entry>>,
     /// Deadline of the engine event currently armed for this bucket, if
     /// any. Arming an earlier entry supersedes it; the superseded event
     /// detects the mismatch at fire time and becomes a no-op.
@@ -100,14 +115,19 @@ impl TimerWheel {
         let slot = self.slot_of(deadline_ns);
         let seq = self.arm_seq;
         self.arm_seq += 1;
-        self.buckets[slot].heap.push(Reverse(Entry {
+        let entry = Entry {
             deadline_ns,
             arm_seq: seq,
             client,
             epoch,
-        }));
-        self.pending += 1;
+        };
         let bucket = &mut self.buckets[slot];
+        if bucket.sorted && bucket.run.last().is_some_and(|tail| *tail < entry) {
+            bucket.late.push(Reverse(entry));
+        } else {
+            bucket.run.push(entry);
+        }
+        self.pending += 1;
         match bucket.scheduled {
             Some(at) if at <= deadline_ns => None,
             _ => {
@@ -137,23 +157,45 @@ impl TimerWheel {
     /// `(deadline, arm_seq)` order. `None` once the bucket has nothing
     /// due at `now`.
     pub fn pop_due(&mut self, slot: usize, now: SimTime) -> Option<(u32, u64)> {
-        let bucket = &mut self.buckets[slot];
-        match bucket.heap.peek() {
-            Some(Reverse(e)) if e.deadline_ns == now.as_nanos() => {
-                let Reverse(e) = bucket.heap.pop()?;
-                self.pending -= 1;
-                Some((e.client, e.epoch))
-            }
-            _ => None,
+        let bucket = self.sorted_bucket(slot);
+        let run_first = match (bucket.run.last(), bucket.late.peek()) {
+            (Some(r), Some(Reverse(l))) if r.deadline_ns == now.as_nanos() => r < l,
+            (Some(r), None) if r.deadline_ns == now.as_nanos() => true,
+            (_, Some(Reverse(l))) if l.deadline_ns == now.as_nanos() => false,
+            _ => return None,
+        };
+        let e = if run_first {
+            bucket.run.pop()?
+        } else {
+            bucket.late.pop()?.0
+        };
+        if bucket.run.is_empty() && bucket.late.is_empty() {
+            bucket.sorted = false;
         }
+        self.pending -= 1;
+        Some((e.client, e.epoch))
     }
 
     /// Earliest remaining deadline in `slot`, if any.
-    pub fn next_deadline(&self, slot: usize) -> Option<SimTime> {
-        self.buckets[slot]
-            .heap
-            .peek()
-            .map(|Reverse(e)| SimTime::from_nanos(e.deadline_ns))
+    pub fn next_deadline(&mut self, slot: usize) -> Option<SimTime> {
+        let bucket = self.sorted_bucket(slot);
+        let run = bucket.run.last().map(|e| e.deadline_ns);
+        let late = bucket.late.peek().map(|Reverse(e)| e.deadline_ns);
+        let next = match (run, late) {
+            (Some(r), Some(l)) => r.min(l),
+            (r, l) => r.or(l)?,
+        };
+        Some(SimTime::from_nanos(next))
+    }
+
+    /// `slot`'s bucket, its run sorted for draining.
+    fn sorted_bucket(&mut self, slot: usize) -> &mut Bucket {
+        let bucket = &mut self.buckets[slot];
+        if !bucket.sorted {
+            bucket.run.sort_unstable_by(|a, b| b.cmp(a));
+            bucket.sorted = true;
+        }
+        bucket
     }
 
     /// Record that an engine event was scheduled for `slot` at

@@ -75,31 +75,32 @@ struct ChaosWorld {
 
 const TICKS: u64 = 200;
 
+fn on_fault(_: &mut Engine<ChaosWorld>, w: &mut ChaosWorld, arg: u64) {
+    let (idx, phase) = fault::decode(arg);
+    w.transitions += 1;
+    match phase {
+        FaultPhase::Inject => {
+            assert!(w.active.insert(idx), "double inject of event {idx}");
+            w.ever_injected += 1;
+        }
+        FaultPhase::Clear => {
+            assert!(w.active.remove(&idx), "clear without inject of event {idx}");
+        }
+    }
+}
+
+fn work_tick(e: &mut Engine<ChaosWorld>, w: &mut ChaosWorld, _: u64) {
+    let rate = if w.active.is_empty() { 1.0 } else { 0.5 };
+    w.work.push((e.now().as_secs_f64(), rate));
+}
+
 /// Run `plan` against a ticking `ChaosWorld`; returns the final world.
 fn run_chaos(plan: &FaultPlan) -> ChaosWorld {
     let mut engine: Engine<ChaosWorld> = Engine::new();
     let mut world = ChaosWorld::default();
-    fault::install(
-        plan,
-        &mut engine,
-        |_, w: &mut ChaosWorld, idx, _kind, phase| {
-            w.transitions += 1;
-            match phase {
-                FaultPhase::Inject => {
-                    assert!(w.active.insert(idx), "double inject of event {idx}");
-                    w.ever_injected += 1;
-                }
-                FaultPhase::Clear => {
-                    assert!(w.active.remove(&idx), "clear without inject of event {idx}");
-                }
-            }
-        },
-    );
+    fault::install(plan, &mut engine, on_fault);
     for t in 0..TICKS {
-        engine.schedule_at(SimTime::from_secs(t), |e, w: &mut ChaosWorld| {
-            let rate = if w.active.is_empty() { 1.0 } else { 0.5 };
-            w.work.push((e.now().as_secs_f64(), rate));
-        });
+        engine.schedule_at(SimTime::from_secs(t), work_tick, 0);
     }
     engine.run(&mut world);
     world

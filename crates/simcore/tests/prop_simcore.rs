@@ -1,20 +1,82 @@
 //! Property-based tests for the simulation core.
 
-use cloudchar_simcore::{Dist, Engine, Sample, SimDuration, SimRng, SimTime, Welford};
+use cloudchar_simcore::{round_u64, Dist, Engine, Sample, SimDuration, SimRng, SimTime, Welford};
 use proptest::prelude::*;
 
+/// Logs `(clock, arg)` for every event.
+struct W {
+    log: Vec<(u64, u64)>,
+}
+
+fn record(e: &mut Engine<W>, w: &mut W, arg: u64) {
+    w.log.push((e.now().as_nanos(), arg));
+}
+
+/// `round_u64` agrees with the float rounding it replaces at the ties,
+/// the largest double below 0.5, the integer-spacing thresholds, the
+/// saturation bounds and the non-finite values.
+#[test]
+fn round_u64_edge_cases() {
+    let p52 = 2f64.powi(52);
+    let cases = [
+        0.0,
+        -0.0,
+        -0.5,
+        -0.7,
+        0.49999999999999994,
+        0.5,
+        1.5,
+        2.5,
+        p52 - 0.5,
+        p52 + 0.5,
+        p52 + 1.0,
+        2f64.powi(53),
+        2f64.powi(53) + 2.0,
+        2f64.powi(63),
+        2f64.powi(64) - 2048.0,
+        2f64.powi(64),
+        2f64.powi(65),
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+    ];
+    for x in cases {
+        assert_eq!(
+            round_u64(x),
+            x.round() as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+}
+
 proptest! {
+    /// `round_u64(x) == x.round() as u64` for every bit pattern: NaNs,
+    /// infinities, negatives, subnormals and the saturating range.
+    #[test]
+    fn round_u64_matches_float_round(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_u64(x), x.round() as u64, "x = {:e}", x);
+    }
+
+    /// The same over values with a fractional part, where the bit-pattern
+    /// sweep rarely lands.
+    #[test]
+    fn round_u64_matches_float_round_on_fractions(x in -4.0f64..1e16) {
+        prop_assert_eq!(round_u64(x), x.round() as u64, "x = {:e}", x);
+        prop_assert_eq!(round_u64(x.floor() + 0.5), (x.floor() + 0.5).round() as u64);
+    }
+
     /// Events always execute in (time, insertion) order, regardless of
     /// the order they were scheduled in.
     #[test]
     fn engine_executes_in_order(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        struct W { log: Vec<(u64, usize)> }
         let mut engine: Engine<W> = Engine::new();
         let mut world = W { log: Vec::new() };
         for (i, &t) in times.iter().enumerate() {
-            engine.schedule_at(SimTime::from_nanos(t), move |e, w: &mut W| {
-                w.log.push((e.now().as_nanos(), i));
-            });
+            engine.schedule_at(SimTime::from_nanos(t), record, i as u64);
         }
         engine.run(&mut world);
         prop_assert_eq!(world.log.len(), times.len());
@@ -33,13 +95,10 @@ proptest! {
         times in proptest::collection::vec(0u64..1_000_000, 1..100),
         split in 0u64..1_000_000,
     ) {
-        struct W { log: Vec<u64> }
         fn build(times: &[u64]) -> (Engine<W>, W) {
             let mut engine: Engine<W> = Engine::new();
             for &t in times {
-                engine.schedule_at(SimTime::from_nanos(t), move |e, w: &mut W| {
-                    w.log.push(e.now().as_nanos());
-                });
+                engine.schedule_at(SimTime::from_nanos(t), record, 0);
             }
             (engine, W { log: Vec::new() })
         }

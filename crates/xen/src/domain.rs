@@ -9,6 +9,7 @@
 use cloudchar_hw::memory::{Bytes, MemoryPool, MemorySpec};
 use cloudchar_hw::server::KernelActivity;
 use cloudchar_hw::{WorkQueue, WorkToken};
+use cloudchar_simcore::round_u64;
 use cloudchar_simcore::stats::Counter;
 use serde::{Deserialize, Serialize};
 
@@ -178,7 +179,7 @@ impl Domain {
                 )
             },
         );
-        self.virt_cycles.add(total.round() as u64);
+        self.virt_cycles.add(round_u64(total));
         total
     }
 

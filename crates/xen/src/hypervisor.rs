@@ -26,7 +26,7 @@ use cloudchar_hw::server::{PhysicalServer, ServerSpec};
 use cloudchar_hw::{IoKind, IoRequest, WorkToken};
 use cloudchar_simcore::audit;
 use cloudchar_simcore::stats::Counter;
-use cloudchar_simcore::{SimDuration, SimRng, SimTime};
+use cloudchar_simcore::{round_u64, SimDuration, SimRng, SimTime};
 
 /// Direction of external guest traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,8 +242,8 @@ impl Hypervisor {
         let n_doms = self.domains.len() as f64;
         let hv = self.overhead.hypervisor_cycles_per_sec * dt_secs
             + self.overhead.hypervisor_cycles_per_sec_per_dom * n_doms * dt_secs;
-        self.hv_cycles.add(hv.round() as u64);
-        self.host.cycles.add(hv.round() as u64);
+        self.hv_cycles.add(round_u64(hv));
+        self.host.cycles.add(round_u64(hv));
 
         // 2. Dom0 housekeeping, including its own journaling writes.
         let log_bytes = (self.overhead.dom0_log_bytes_per_sec * dt_secs) as u64;
@@ -283,11 +283,10 @@ impl Hypervisor {
             // misattribution); dom0's accounting is physical.
             if !alloc.dom.is_dom0() {
                 let extra = executed * (self.overhead.guest_cycle_accounting_scale - 1.0);
-                dom.virt_cycles.add(extra.round() as u64);
+                dom.virt_cycles.add(round_u64(extra));
             }
-            dom.run_ns.add((alloc.core_secs * 1e9).round() as u64);
-            dom.steal_ns
-                .add((alloc.starved_core_secs * 1e9).round() as u64);
+            dom.run_ns.add(round_u64(alloc.core_secs * 1e9));
+            dom.steal_ns.add(round_u64(alloc.starved_core_secs * 1e9));
             if executed > 0.0 {
                 // Roughly one context switch per quantum per busy VCPU.
                 dom.kernel
@@ -295,7 +294,7 @@ impl Hypervisor {
                     .add((alloc.core_secs / dt_secs).ceil().max(1.0) as u64);
                 dom.kernel.interrupts.add(1); // timer tick
             }
-            self.host.cycles.add(executed.round() as u64);
+            self.host.cycles.add(round_u64(executed));
             executed_cycles_total += executed;
             completions.extend(self.tokens.drain(..).map(|token| Completion {
                 dom: alloc.dom,
@@ -325,7 +324,7 @@ impl Hypervisor {
 
     fn vif_accounting_phantom(&mut self, dom: DomId, bytes: Bytes) {
         let phantom = bytes as f64 * self.overhead.guest_accounting_cycles_per_vif_byte;
-        self.domain_mut(dom).virt_cycles.add(phantom.round() as u64);
+        self.domain_mut(dom).virt_cycles.add(round_u64(phantom));
     }
 
     /// Guest disk I/O through the split block driver. Returns the

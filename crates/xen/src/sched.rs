@@ -58,7 +58,7 @@ struct DomState {
 
 /// Per-quantum working buffers of [`CreditScheduler::allocate_into`],
 /// kept across quanta so the steady state allocates nothing. The first
-/// three run parallel to the demand list.
+/// four run parallel to the demand list.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Effective ceiling: demand ∧ vcpus·dt ∧ cap·dt.
@@ -67,6 +67,8 @@ struct Scratch {
     weight: Vec<f64>,
     /// Core-seconds granted so far this quantum.
     granted: Vec<f64>,
+    /// Whether the domain is UNDER (non-negative credits) this quantum.
+    under: Vec<bool>,
     /// Demand indices still being water-filled in the current class.
     class: Vec<usize>,
 }
@@ -194,11 +196,13 @@ impl CreditScheduler {
             ceiling,
             weight,
             granted,
+            under,
             class,
         } = &mut scratch;
         ceiling.clear();
         weight.clear();
         granted.clear();
+        under.clear();
         for d in demands {
             let st = self
                 .state(d.dom)
@@ -211,6 +215,7 @@ impl CreditScheduler {
             ceiling.push(ceil);
             weight.push(f64::from(st.params.weight));
             granted.push(0.0);
+            under.push(st.credits >= 0.0);
         }
 
         // 3. Two-class weighted water-filling, in demand order. A
@@ -222,12 +227,9 @@ impl CreditScheduler {
                 break;
             }
             class.clear();
-            class.extend((0..demands.len()).filter(|&i| {
-                let under = self
-                    .state(demands[i].dom)
-                    .is_some_and(|st| st.credits >= 0.0);
-                ceiling[i] > 1e-15 && under == under_class
-            }));
+            class.extend(
+                (0..demands.len()).filter(|&i| ceiling[i] > 1e-15 && under[i] == under_class),
+            );
             // Water-fill within the class.
             while !class.is_empty() && remaining > 1e-15 {
                 let wsum: f64 = class.iter().map(|&i| weight[i]).sum();
