@@ -133,11 +133,9 @@ pub(crate) struct Stack {
     /// Fault lane: tier-error coin flips and (on a single host) the
     /// clients' retry backoff.
     fault_rng: SimRng,
-    /// Armed only when this stack carries a non-empty fault plan. For
-    /// an empty plan no events are scheduled and no RNG is drawn.
-    faults_enabled: bool,
-    /// The fault plan this stack carries (empty when it carries none);
-    /// fault handlers read each event's kind from it.
+    /// The fault plan this stack carries, empty when it carries none:
+    /// then no fault events are scheduled and no fault RNG is drawn.
+    /// Fault handlers read each event's kind from it.
     faults: FaultPlan,
     /// Active injected error probability per tier (`[web, db]`).
     tier_error_p: [f64; 2],
@@ -217,7 +215,6 @@ impl Stack {
             store: SeriesStore::with_expected_samples(cfg.sample_count()),
             rng: workload,
             fault_rng: faults,
-            faults_enabled: faulty && !cfg.faults.is_empty(),
             faults: if faulty {
                 cfg.faults.clone()
             } else {
@@ -279,6 +276,11 @@ impl Stack {
         }
     }
 
+    /// Whether this stack carries a non-empty fault plan.
+    fn faults_enabled(&self) -> bool {
+        !self.faults.is_empty()
+    }
+
     /// Injected-error coin flip for `tier` (fault runs only).
     fn tier_fails(&mut self, tier: Tier) -> bool {
         if !self.platform.tier_up(tier) {
@@ -310,7 +312,7 @@ pub(crate) fn start<H: Outcomes>(engine: &mut Engine<H>, host: &mut H) {
     );
     engine.schedule_at(SimTime::ZERO + HOUSEKEEPING, housekeeping_tick::<H>, 0);
     engine.schedule_at(SimTime::ZERO + stack.sample_interval, sample_tick::<H>, 0);
-    if stack.faults_enabled {
+    if stack.faults_enabled() {
         // The plan was validated with its configuration.
         fault::install(&stack.faults, engine, on_fault::<H>);
     }
@@ -426,7 +428,7 @@ fn web_arrival<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
     if !s.inflight.contains_key(&id) {
         return; // request already failed (timeout) while in transit
     }
-    if s.faults_enabled && s.tier_fails(Tier::Web) {
+    if s.faults_enabled() && s.tier_fails(Tier::Web) {
         fail_request(engine, host, id, FailCause::Error);
         return;
     }
@@ -494,7 +496,7 @@ fn db_execute<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
     let Some(q) = s.inflight.get_mut(&id).and_then(|r| r.queries.pop_front()) else {
         return; // request already failed while the query was in transit
     };
-    if s.faults_enabled && s.tier_fails(Tier::Db) {
+    if s.faults_enabled() && s.tier_fails(Tier::Db) {
         fail_request(engine, host, id, FailCause::Error);
         return;
     }
@@ -700,7 +702,7 @@ impl World {
     /// by [`crate::experiment::run_opts`]).
     pub(crate) fn new(cfg: ExperimentConfig, stack: Stack, clients: ClientCohort) -> Self {
         let mut monitor = FaultMonitor::new();
-        if stack.faults_enabled {
+        if stack.faults_enabled() {
             for ev in &cfg.faults.events {
                 monitor.push_window(ev.kind.label(), ev.at_s, ev.clear_s());
             }
@@ -730,7 +732,7 @@ impl World {
     /// End-of-run fault observability record; `None` for fault-free
     /// runs.
     pub(crate) fn fault_summary(&self) -> Option<FaultSummary> {
-        self.stack.faults_enabled.then(|| {
+        self.stack.faults_enabled().then(|| {
             self.monitor
                 .summary(&self.cfg.faults.name, self.cfg.faults.fingerprint())
         })
@@ -751,7 +753,7 @@ impl Outcomes for World {
         world.interaction_counts[idx] += 1;
         world.interaction_latency[idx].push(latency);
         let session = req.session;
-        if world.stack.faults_enabled {
+        if world.stack.faults_enabled() {
             if let Some(ev) = req.timeout {
                 engine.cancel(ev);
             }
@@ -800,7 +802,7 @@ impl Outcomes for World {
     }
 
     fn on_sample(&mut self) {
-        if self.stack.faults_enabled {
+        if self.stack.faults_enabled() {
             // Same cadence as the catalog series: one availability /
             // error-rate / retry point per sampling interval.
             self.monitor.sample();
@@ -874,7 +876,7 @@ fn fire_request(engine: &mut Engine<World>, world: &mut World, session: u32) {
     let interaction = world.clients.current_interaction(session);
     let epoch = world.clients.epoch(session);
     let id = admit(engine, world, now, session, epoch, interaction);
-    if world.stack.faults_enabled {
+    if world.stack.faults_enabled() {
         let wait = SimDuration::from_secs_f64(world.policy.timeout_s);
         let ev = engine.schedule_in(wait, request_timeout, id);
         world
@@ -1002,7 +1004,7 @@ mod tests {
     fn fault_free_world_is_disarmed() {
         let mut world = tiny_world(false);
         let mut engine: Engine<World> = Engine::new();
-        assert!(!world.stack.faults_enabled);
+        assert!(!world.stack.faults_enabled());
         let before = engine.pending();
         fire_request(&mut engine, &mut world, 0);
         // Only the web-arrival event — no timeout guard is armed.

@@ -294,11 +294,11 @@ impl<V> CalendarQueue<V> {
     }
 
     /// Build a rung of `>= 2` buckets tiling exactly `[start, start +
-    /// span)`, reusing a spare bucket array where there is one. `width * count`
-    /// may overshoot `span` when `width` does not divide it; the stored
-    /// `end` truncates the last bucket so coverage never exceeds the
-    /// requested span (an overshooting end would overlap an outer rung's
-    /// remaining buckets and break pop ordering).
+    /// span)`, reusing a spare bucket array where there is one.
+    /// `width * count` may overshoot `span` when `width` does not divide
+    /// it; the stored `end` truncates the last bucket so coverage never
+    /// exceeds the requested span (an overshooting end would overlap an
+    /// outer rung's remaining buckets and break pop ordering).
     fn new_rung(&mut self, start: u64, span: u128, at_most: usize) -> Rung<V> {
         let buckets = at_most.clamp(2, MAX_BUCKETS) as u128;
         let width = span.div_ceil(buckets).max(1) as u64;

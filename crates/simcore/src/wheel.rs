@@ -61,6 +61,18 @@ struct Bucket {
     scheduled: Option<u64>,
 }
 
+impl Bucket {
+    /// The earliest pending entry of a sorted bucket, and whether it
+    /// heads the run (else the late heap).
+    fn head(&self) -> Option<(Entry, bool)> {
+        match (self.run.last(), self.late.peek()) {
+            (Some(r), Some(Reverse(l))) if l < r => Some((*l, false)),
+            (Some(r), _) => Some((*r, true)),
+            (None, l) => l.map(|Reverse(l)| (*l, false)),
+        }
+    }
+}
+
 /// A modular ring of timer buckets over the engine's calendar queue.
 #[derive(Debug)]
 pub struct TimerWheel {
@@ -158,34 +170,26 @@ impl TimerWheel {
     /// due at `now`.
     pub fn pop_due(&mut self, slot: usize, now: SimTime) -> Option<(u32, u64)> {
         let bucket = self.sorted_bucket(slot);
-        let run_first = match (bucket.run.last(), bucket.late.peek()) {
-            (Some(r), Some(Reverse(l))) if r.deadline_ns == now.as_nanos() => r < l,
-            (Some(r), None) if r.deadline_ns == now.as_nanos() => true,
-            (_, Some(Reverse(l))) if l.deadline_ns == now.as_nanos() => false,
-            _ => return None,
-        };
-        let e = if run_first {
-            bucket.run.pop()?
+        let (head, in_run) = bucket.head()?;
+        if head.deadline_ns != now.as_nanos() {
+            return None;
+        }
+        if in_run {
+            bucket.run.pop();
         } else {
-            bucket.late.pop()?.0
-        };
+            bucket.late.pop();
+        }
         if bucket.run.is_empty() && bucket.late.is_empty() {
             bucket.sorted = false;
         }
         self.pending -= 1;
-        Some((e.client, e.epoch))
+        Some((head.client, head.epoch))
     }
 
     /// Earliest remaining deadline in `slot`, if any.
     pub fn next_deadline(&mut self, slot: usize) -> Option<SimTime> {
-        let bucket = self.sorted_bucket(slot);
-        let run = bucket.run.last().map(|e| e.deadline_ns);
-        let late = bucket.late.peek().map(|Reverse(e)| e.deadline_ns);
-        let next = match (run, late) {
-            (Some(r), Some(l)) => r.min(l),
-            (r, l) => r.or(l)?,
-        };
-        Some(SimTime::from_nanos(next))
+        let (head, _) = self.sorted_bucket(slot).head()?;
+        Some(SimTime::from_nanos(head.deadline_ns))
     }
 
     /// `slot`'s bucket, its run sorted for draining.
