@@ -31,9 +31,10 @@
 //!   to its observed time span — the queue tracks the workload's time
 //!   scale with no tuning knobs.
 //!
-//! Bucket vectors and rung arrays that run empty are kept, capacity and
-//! all, and reused for the next rung, so a queue in steady state
-//! allocates nothing.
+//! All rungs keep their buckets in one array, each rung a contiguous
+//! range of it, since rungs come and go in stack order. Bucket vectors
+//! that run empty are kept, capacity and all, and handed to the next
+//! bucket that fills, so a queue in steady state allocates nothing.
 //!
 //! ## Ordering contract
 //!
@@ -46,8 +47,6 @@
 //! arithmetic is done in `u128`, so the contract has no overflow corner
 //! cases anywhere in the `u64` time domain. The equivalence proptests in
 //! `tests/prop_queue.rs` pin all of this against a reference heap.
-
-use std::collections::VecDeque;
 
 /// Buckets at or below this size are sorted into bottom instead of
 /// being split into a finer rung.
@@ -70,27 +69,31 @@ impl<V> Item<V> {
     }
 }
 
-/// One level of the ladder: `buckets[i]` spans
+/// One level of the ladder: its remaining buckets are
+/// `slots[next..stop]` of the queue, and `slots[next + i]` spans
 /// `[start + i*width, start + (i+1)*width)`, unsorted, except that the
 /// last bucket is truncated at `end` so coverage tiles `[start, end)`
 /// exactly — `width` need not divide the span.
-struct Rung<V> {
+struct Rung {
     start: u64,
     width: u64, // >= 1
     /// Exclusive logical end of this rung's coverage. Kept in `u128`
     /// because a rung spanning up to `u64::MAX` inclusive ends at
     /// `2^64`, which a `u64` cannot hold.
     end: u128,
-    buckets: VecDeque<Vec<Item<V>>>,
+    /// Index in `slots` of the bucket starting at `start`.
+    next: usize,
+    /// One past the rung's last bucket in `slots`.
+    stop: usize,
 }
 
-impl<V> Rung<V> {
-    /// Append an item; requires `start <= item.time` and
-    /// `item.time < self.end`. A bucket's first item gives it a spare
-    /// vector, so only buckets in use hold memory.
-    fn place(&mut self, item: Item<V>, spare: &mut Vec<Vec<Item<V>>>) {
+impl Rung {
+    /// Append an item to its bucket in `slots`; requires
+    /// `start <= item.time` and `item.time < self.end`. A bucket's first
+    /// item gives it a spare vector, so only buckets in use hold memory.
+    fn place<V>(&self, item: Item<V>, slots: &mut [Vec<Item<V>>], spare: &mut Vec<Vec<Item<V>>>) {
         let idx = ((item.time - self.start) / self.width) as usize;
-        let bucket = &mut self.buckets[idx];
+        let bucket = &mut slots[self.next + idx];
         if bucket.capacity() == 0 {
             if let Some(v) = spare.pop() {
                 *bucket = v;
@@ -112,15 +115,17 @@ pub struct CalendarQueue<V> {
     bottom_end: u128,
     /// The ladder, outermost (coarsest, latest span) first. Rung spans
     /// tile `[bottom_end, rungs[0].end)` contiguously.
-    rungs: Vec<Rung<V>>,
+    rungs: Vec<Rung>,
+    /// The rungs' buckets, outermost rung's first. Rungs are created
+    /// and exhausted in stack order, so each rung's buckets are a
+    /// contiguous range and the innermost rung's range is the tail.
+    slots: Vec<Vec<Item<V>>>,
     /// Events at or past the ladder's end, unsorted.
     top: Vec<Item<V>>,
     len: usize,
     /// Emptied bucket vectors, kept with their capacity for the next
-    /// rung, so a steady state allocates nothing.
+    /// bucket that fills, so a steady state allocates nothing.
     spare_buckets: Vec<Vec<Item<V>>>,
-    /// Emptied bucket arrays of exhausted rungs, kept for reuse.
-    spare_rungs: Vec<VecDeque<Vec<Item<V>>>>,
 }
 
 impl<V> Default for CalendarQueue<V> {
@@ -137,10 +142,10 @@ impl<V> CalendarQueue<V> {
             bottom: Vec::new(),
             bottom_end: 0,
             rungs: Vec::new(),
+            slots: Vec::new(),
             top: Vec::new(),
             len: 0,
             spare_buckets: Vec::new(),
-            spare_rungs: Vec::new(),
         }
     }
 
@@ -177,7 +182,7 @@ impl<V> CalendarQueue<V> {
         // exceeds `time` covers it.
         for rung in self.rungs.iter_mut().rev() {
             if (time as u128) < rung.end {
-                rung.place(item, &mut self.spare_buckets);
+                rung.place(item, &mut self.slots, &mut self.spare_buckets);
                 return;
             }
         }
@@ -216,12 +221,16 @@ impl<V> CalendarQueue<V> {
                 self.rebuild_from_top();
                 continue;
             };
-            let Some(mut bucket) = rung.buckets.pop_front() else {
-                if let Some(done) = self.rungs.pop() {
-                    self.spare_rungs.push(done.buckets);
-                }
+            if rung.next == rung.stop {
+                self.rungs.pop();
+                let base = self.rungs.last().map_or(0, |outer| outer.stop);
+                // Every bucket of the exhausted rung was taken; the
+                // truncation frees nothing.
+                self.slots.truncate(base);
                 continue;
-            };
+            }
+            let mut bucket = std::mem::take(&mut self.slots[rung.next]);
+            rung.next += 1;
             let b_start = rung.start;
             // The popped bucket's logical slot, truncated at the rung's
             // end: `[b_start, b_end)`. Advancing past the rung end would
@@ -254,9 +263,9 @@ impl<V> CalendarQueue<V> {
             // Split: a finer rung tiling exactly the popped bucket's
             // slot, so rung coverage stays contiguous. Width shrinks at
             // least 2x per split, so depth is bounded by log2(span).
-            let mut finer = self.new_rung(b_start, b_span, bucket.len() / SORT_THRESHOLD);
+            let finer = self.new_rung(b_start, b_span, bucket.len() / SORT_THRESHOLD);
             for it in bucket.drain(..) {
-                finer.place(it, &mut self.spare_buckets);
+                finer.place(it, &mut self.slots, &mut self.spare_buckets);
             }
             self.recycle(bucket);
             self.rungs.push(finer);
@@ -274,9 +283,9 @@ impl<V> CalendarQueue<V> {
             max_t = max_t.max(it.time);
         }
         let span = (max_t - min_t) as u128 + 1;
-        let mut rung = self.new_rung(min_t, span, self.top.len() / SORT_THRESHOLD);
+        let rung = self.new_rung(min_t, span, self.top.len() / SORT_THRESHOLD);
         for it in self.top.drain(..) {
-            rung.place(it, &mut self.spare_buckets);
+            rung.place(it, &mut self.slots, &mut self.spare_buckets);
         }
         self.rungs.push(rung);
         // Pushes earlier than the new ladder may still arrive; they
@@ -294,23 +303,24 @@ impl<V> CalendarQueue<V> {
     }
 
     /// Build a rung of `>= 2` buckets tiling exactly `[start, start +
-    /// span)`, reusing a spare bucket array where there is one.
-    /// `width * count` may overshoot `span` when `width` does not divide
-    /// it; the stored `end` truncates the last bucket so coverage never
-    /// exceeds the requested span (an overshooting end would overlap an
-    /// outer rung's remaining buckets and break pop ordering).
-    fn new_rung(&mut self, start: u64, span: u128, at_most: usize) -> Rung<V> {
+    /// span)`, its empty buckets appended to `slots`. `width * count`
+    /// may overshoot `span` when `width` does not divide it; the stored
+    /// `end` truncates the last bucket so coverage never exceeds the
+    /// requested span (an overshooting end would overlap an outer rung's
+    /// remaining buckets and break pop ordering).
+    fn new_rung(&mut self, start: u64, span: u128, at_most: usize) -> Rung {
         let buckets = at_most.clamp(2, MAX_BUCKETS) as u128;
         let width = span.div_ceil(buckets).max(1) as u64;
         let count = span.div_ceil(width as u128) as usize;
-        let mut rung = Rung {
+        let next = self.slots.len();
+        self.slots.resize_with(next + count.max(1), Vec::new);
+        Rung {
             start,
             width,
             end: start as u128 + span,
-            buckets: self.spare_rungs.pop().unwrap_or_default(),
-        };
-        rung.buckets.resize_with(count.max(1), Vec::new);
-        rung
+            next,
+            stop: self.slots.len(),
+        }
     }
 }
 

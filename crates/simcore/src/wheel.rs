@@ -181,6 +181,9 @@ impl TimerWheel {
         }
         if bucket.run.is_empty() && bucket.late.is_empty() {
             bucket.sorted = false;
+            // Stragglers are rare: give their buffer back rather than
+            // hold one per bucket for the whole ring.
+            bucket.late = BinaryHeap::new();
         }
         self.pending -= 1;
         Some((head.client, head.epoch))
