@@ -3,7 +3,7 @@
 //! hypervisor accounting invariants.
 
 use cloudchar_hw::{IoKind, IoRequest, ServerSpec, WorkToken};
-use cloudchar_simcore::{SimDuration, SimRng, SimTime};
+use cloudchar_simcore::{round_u64, SimDuration, SimRng, SimTime};
 use cloudchar_xen::{
     Allocation, CreditScheduler, Demand, DomId, DomainConfig, Hypervisor, OverheadModel,
     SchedParams,
@@ -32,6 +32,10 @@ impl RefScheduler {
 
     fn add_domain(&mut self, dom: DomId, params: SchedParams) {
         self.doms.insert(dom, (params, 0.0));
+    }
+
+    fn remove_domain(&mut self, dom: DomId) {
+        self.doms.remove(&dom);
     }
 
     fn set_cap(&mut self, dom: DomId, cap_percent: Option<u32>) {
@@ -177,6 +181,10 @@ proptest! {
     /// over random multi-quantum runs: sparse domain ids, caps changed
     /// mid-run, domains dropping out of (and back into) the demand
     /// list, zero demands, and one reused output buffer throughout.
+    /// Each quantum's length is drawn from {dt, 5 ms, 10 ms, 30 ms}, and
+    /// domains are removed and re-registered mid-run, so anything the
+    /// scheduler keeps between quanta sees both its length and its
+    /// total weight change under it.
     #[test]
     fn scheduler_matches_reference_bit_for_bit(
         cores in 1u32..8,
@@ -190,22 +198,40 @@ proptest! {
             (
                 proptest::collection::vec((0u8..4, 0.0f64..0.1), 6..7),
                 proptest::option::of((0usize..6, proptest::option::of(1u32..200))),
+                0usize..4,
+                proptest::option::of(0usize..6),
             ),
             1..80
         ),
     ) {
         let id = |i: usize| DomId(i as u32 * stride);
+        let lengths = [dt, 0.005, 0.010, 0.030];
         let mut dense = CreditScheduler::new(cores);
         let mut reference = RefScheduler::new(cores);
+        let mut registered = vec![true; doms.len()];
         for (i, &(weight, cap_percent, vcpus)) in doms.iter().enumerate() {
             let params = SchedParams { weight, cap_percent, vcpus };
             dense.add_domain(id(i), params);
             reference.add_domain(id(i), params);
         }
         let mut out = Vec::new();
-        for (step, (per_dom, cap_change)) in steps.iter().enumerate() {
+        for (step, (per_dom, cap_change, length, toggle)) in steps.iter().enumerate() {
+            // Remove a registered domain, or re-register a removed one
+            // with fresh credits and its original parameters.
+            if let Some(i) = toggle.filter(|&i| i < doms.len()) {
+                if registered[i] {
+                    dense.remove_domain(id(i));
+                    reference.remove_domain(id(i));
+                } else {
+                    let (weight, cap_percent, vcpus) = doms[i];
+                    let params = SchedParams { weight, cap_percent, vcpus };
+                    dense.add_domain(id(i), params);
+                    reference.add_domain(id(i), params);
+                }
+                registered[i] = !registered[i];
+            }
             if let Some((i, cap)) = *cap_change {
-                if i < doms.len() {
+                if i < doms.len() && registered[i] {
                     dense.set_cap(id(i), cap);
                     reference.set_cap(id(i), cap);
                 }
@@ -216,12 +242,13 @@ proptest! {
                 .iter()
                 .take(doms.len())
                 .enumerate()
-                .filter(|(_, &(kind, _))| kind != 0)
+                .filter(|&(i, &(kind, _))| kind != 0 && registered[i])
                 .map(|(i, &(kind, cs))| Demand {
                     dom: id(i),
                     core_secs: if kind == 1 { 0.0 } else { cs },
                 })
                 .collect();
+            let dt = lengths[*length];
             dense.allocate_into(dt, &demands, &mut out);
             let want = reference.allocate(dt, &demands);
             prop_assert_eq!(out.len(), want.len());
@@ -240,7 +267,7 @@ proptest! {
                     step, a.dom, a.starved_core_secs, b.starved_core_secs
                 );
             }
-            for i in 0..doms.len() {
+            for i in (0..doms.len()).filter(|&i| registered[i]) {
                 let got = dense.credits(id(i)).expect("registered");
                 prop_assert_eq!(
                     got.to_bits(),
@@ -275,6 +302,43 @@ proptest! {
         let total: f64 = allocs.iter().map(|a| a.core_secs).sum();
         let capacity = f64::from(cores) * dt;
         prop_assert!((total - capacity).abs() < 1e-9, "not work conserving: {total} vs {capacity}");
+    }
+
+    /// The hypervisor's housekeeping tracks its inputs quantum by
+    /// quantum: with quantum lengths alternating between 5 and 10 ms and
+    /// guests created mid-run, the hypervisor-context cycles equal the
+    /// per-quantum rounded cost at that quantum's length and domain
+    /// count, and the physical disk sees exactly dom0's log bytes.
+    #[test]
+    fn hypervisor_housekeeping_follows_quantum_and_domain_count(
+        steps in proptest::collection::vec((any::<bool>(), any::<bool>()), 1..120),
+    ) {
+        let o = OverheadModel::default();
+        let mut hv = Hypervisor::new(
+            ServerSpec::hp_proliant(),
+            2 * cloudchar_hw::GIB,
+            o,
+            SimRng::new(3),
+        );
+        let mut done = Vec::new();
+        let (mut want_cycles, mut want_log) = (0u64, 0u64);
+        let mut n_doms = 1.0;
+        for (step, &(short, create)) in steps.iter().enumerate() {
+            if create && n_doms < 8.0 {
+                hv.create_domain(DomainConfig::paper_vm(&format!("g{step}")));
+                n_doms += 1.0;
+            }
+            let dt = SimDuration::from_millis(if short { 5 } else { 10 });
+            let dt_secs = dt.as_secs_f64();
+            hv.quantum_tick(dt, &mut done);
+            want_cycles += round_u64(
+                o.hypervisor_cycles_per_sec * dt_secs
+                    + o.hypervisor_cycles_per_sec_per_dom * n_doms * dt_secs,
+            );
+            want_log += (o.dom0_log_bytes_per_sec * dt_secs) as u64;
+            prop_assert_eq!(hv.hv_cycles_total(), want_cycles, "step {}", step);
+            prop_assert_eq!(hv.host.disk.totals(), (0, want_log), "step {}", step);
+        }
     }
 
     /// Hypervisor guest work conservation: cycles in == cycles executed,
