@@ -195,30 +195,31 @@ struct Measurement {
     oracle: Cost,
 }
 
+/// Best-of-`reps` wall time of each driver. The two drivers alternate
+/// rep by rep, so a noisy stretch on a shared machine slows both sides
+/// instead of landing on one of them.
 fn measure(n: u32, reps: u32) -> Measurement {
     use std::time::Instant;
-    let best = |f: &dyn Fn() -> Cost| {
-        let mut cost = Cost {
-            wakes: 0,
-            events: 0,
-        };
-        let ns = (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                cost = black_box(f());
-                t.elapsed().as_nanos()
-            })
-            .min()
-            .unwrap();
-        (ns, cost)
+    let time = |f: fn(u32) -> Cost| {
+        let t = Instant::now();
+        let cost = black_box(f(black_box(n)));
+        (t.elapsed().as_nanos(), cost)
     };
     // One untimed pass of each driver first: the first allocation-heavy
     // run on a cold heap pays page-fault warmup that would bias
     // whichever driver is measured first.
     black_box(drive_cohort(n));
     black_box(drive_oracle(n));
-    let (cohort_ns, cohort) = best(&|| drive_cohort(n));
-    let (oracle_ns, oracle) = best(&|| drive_oracle(n));
+    let (mut cohort_ns, mut cohort) = time(drive_cohort);
+    let (mut oracle_ns, mut oracle) = time(drive_oracle);
+    for _ in 1..reps {
+        let (ns, cost) = time(drive_cohort);
+        cohort_ns = cohort_ns.min(ns);
+        cohort = cost;
+        let (ns, cost) = time(drive_oracle);
+        oracle_ns = oracle_ns.min(ns);
+        oracle = cost;
+    }
     Measurement {
         n,
         cohort_ns,
@@ -256,7 +257,7 @@ fn record() {
 fn smoke() {
     let n = 100_000u32;
     let expect = u64::from(n) * u64::from(ROUNDS + 1);
-    let m = measure(n, 3);
+    let m = measure(n, 5);
 
     // Equivalence first: both drivers deliver the same wakes from the
     // same RNG stream, so the comparison is apples-to-apples.

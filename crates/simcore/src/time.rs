@@ -18,8 +18,27 @@ use std::ops::{Add, AddAssign, Sub};
 /// are in the same binade or `t` is 0; above it `x` is already whole),
 /// so comparing it with 0.5 rounds exactly — unlike `floor(x + 0.5)`,
 /// whose addition rounds `0.49999999999999994` up to 1.
+///
+/// Every value the simulator rounds lies in `[0, 2⁶³)`. There one signed
+/// truncation and its inverse suffice, and the comparison is added as
+/// 0 or 1 instead of branched on. Everything else takes the cold path.
 #[inline]
 pub fn round_u64(x: f64) -> u64 {
+    if (0.0..TWO_POW_63).contains(&x) {
+        let t = x as i64;
+        t as u64 + u64::from(x - t as f64 >= 0.5)
+    } else {
+        round_u64_outside(x)
+    }
+}
+
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// [`round_u64`] for NaN, negatives and `x >= 2⁶³`, through the
+/// saturating unsigned conversion.
+#[cold]
+#[inline(never)]
+fn round_u64_outside(x: f64) -> u64 {
     let t = x as u64;
     if x - t as f64 >= 0.5 {
         t.saturating_add(1)

@@ -13,8 +13,9 @@ fn record(e: &mut Engine<W>, w: &mut W, arg: u64) {
 }
 
 /// `round_u64` agrees with the float rounding it replaces at the ties,
-/// the largest double below 0.5, the integer-spacing thresholds, the
-/// saturation bounds and the non-finite values.
+/// the largest double below 0.5, the integer-spacing thresholds, both
+/// sides of 2⁶³ (where the signed fast path ends), the saturation bounds,
+/// tiny and near-half negatives, and the non-finite values.
 #[test]
 fn round_u64_edge_cases() {
     let p52 = 2f64.powi(52);
@@ -41,6 +42,10 @@ fn round_u64_edge_cases() {
         f64::NEG_INFINITY,
         f64::NAN,
         f64::MIN_POSITIVE,
+        2f64.powi(63) - 1024.0,
+        2f64.powi(63) + 2048.0,
+        -f64::MIN_POSITIVE,
+        -0.49999999999999994,
     ];
     for x in cases {
         assert_eq!(

@@ -160,8 +160,9 @@ impl Domain {
 
     /// Execute up to `budget` cycles: overhead first, then application
     /// work FIFO. Completed application tokens are appended to `out`.
-    /// Returns cycles actually executed.
-    pub fn execute(&mut self, budget: f64, out: &mut Vec<WorkToken>) -> f64 {
+    /// Returns the cycles actually executed, exact and rounded (the
+    /// rounded count is what `virt_cycles` was charged).
+    pub fn execute(&mut self, budget: f64, out: &mut Vec<WorkToken>) -> (f64, u64) {
         let overhead_part = self.overhead_cycles.min(budget);
         self.overhead_cycles -= overhead_part;
         let app_part = self.work.drain(budget - overhead_part, out);
@@ -179,8 +180,9 @@ impl Domain {
                 )
             },
         );
-        self.virt_cycles.add(round_u64(total));
-        total
+        let cycles = round_u64(total);
+        self.virt_cycles.add(cycles);
+        (total, cycles)
     }
 
     /// Record `bytes` of frontend disk traffic.
@@ -234,11 +236,11 @@ mod tests {
         assert_eq!(d.demand_cycles(), 150.0);
         let mut out = Vec::new();
         let used = d.execute(120.0, &mut out);
-        assert_eq!(used, 120.0);
+        assert_eq!(used, (120.0, 120));
         assert!(out.is_empty()); // only 20 of the 50 app cycles ran
         assert_eq!(d.overhead_cycles, 0.0);
         let used2 = d.execute(100.0, &mut out);
-        assert_eq!(used2, 30.0);
+        assert_eq!(used2, (30.0, 30));
         assert_eq!(out, vec![WorkToken(1)]);
         assert_eq!(d.virt_cycles.total(), 150);
     }

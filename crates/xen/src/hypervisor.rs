@@ -55,8 +55,9 @@ pub struct Hypervisor {
     /// `next_dom` and never removed, so dom0 sits at index 0.
     domains: Vec<Domain>,
     sched: CreditScheduler,
-    /// Cost parameters.
-    pub overhead: OverheadModel,
+    /// Cost parameters. Private so that `consts`, which is derived from
+    /// them, cannot go stale.
+    overhead: OverheadModel,
     rng: SimRng,
     next_dom: u32,
     /// Cycles executed in hypervisor context (not attributable to any
@@ -70,10 +71,51 @@ pub struct Hypervisor {
     /// Extra dom0 housekeeping load, as a fraction of one core
     /// (credit-starvation fault; 0.0 = healthy).
     starve_core_util: f64,
+    /// Housekeeping of one quantum, derived from its length, the domain
+    /// count, the starvation load and the overhead model.
+    consts: QuantumConsts,
     /// Per-quantum buffers reused by [`Hypervisor::quantum_tick`].
     demands: Vec<Demand>,
     allocations: Vec<Allocation>,
     tokens: Vec<WorkToken>,
+}
+
+/// The fixed housekeeping of a quantum of length `dt`, computed when one
+/// of its inputs changes instead of every quantum.
+#[derive(Debug, Clone, Copy, Default)]
+struct QuantumConsts {
+    dt: SimDuration,
+    dt_secs: f64,
+    /// Host core clock in Hz.
+    hz: f64,
+    /// Hypervisor-context cycles, rounded.
+    hv_cycles: u64,
+    /// Dom0 journaling bytes written.
+    log_bytes: u64,
+    /// Dom0 housekeeping cycles, including the starvation load.
+    dom0_base: f64,
+}
+
+impl QuantumConsts {
+    fn new(dt: SimDuration, hv: &Hypervisor) -> Self {
+        let dt_secs = dt.as_secs_f64();
+        let hz = hv.host.spec().cpu.hz as f64;
+        let o = &hv.overhead;
+        let n_doms = hv.domains.len() as f64;
+        let hv_cycles = o.hypervisor_cycles_per_sec * dt_secs
+            + o.hypervisor_cycles_per_sec_per_dom * n_doms * dt_secs;
+        QuantumConsts {
+            dt,
+            dt_secs,
+            hz,
+            hv_cycles: round_u64(hv_cycles),
+            log_bytes: (o.dom0_log_bytes_per_sec * dt_secs) as u64,
+            // The credit-starvation fault inflates dom0's demand by a
+            // fraction of one core; its boosted weight turns that demand
+            // into credit the guests no longer receive.
+            dom0_base: o.dom0_cycles_per_sec * dt_secs + hv.starve_core_util * hz * dt_secs,
+        }
+    }
 }
 
 impl Hypervisor {
@@ -96,7 +138,8 @@ impl Hypervisor {
         // Dom0 kernel + daemons baseline resident set.
         dom0.memory
             .set_component("dom0-base", 650 * cloudchar_hw::MIB);
-        Hypervisor {
+        let quantum = SimDuration::from_millis(10);
+        let mut hv = Hypervisor {
             host,
             domains: vec![dom0],
             sched,
@@ -105,12 +148,15 @@ impl Hypervisor {
             next_dom: 1,
             hv_cycles: Counter::new(),
             bridge_bytes: Counter::new(),
-            quantum: SimDuration::from_millis(10),
+            quantum,
             starve_core_util: 0.0,
+            consts: QuantumConsts::default(),
             demands: Vec::new(),
             allocations: Vec::new(),
             tokens: Vec::new(),
-        }
+        };
+        hv.consts = QuantumConsts::new(quantum, &hv);
+        hv
     }
 
     /// The scheduling quantum length.
@@ -131,6 +177,7 @@ impl Hypervisor {
             },
         );
         self.domains.push(Domain::new(id, config));
+        self.consts = QuantumConsts::new(self.consts.dt, self);
         id
     }
 
@@ -199,7 +246,7 @@ impl Hypervisor {
             boot_delay_s.is_finite() && boot_delay_s >= 0.0,
             "invalid boot delay: {boot_delay_s}"
         );
-        let hz = self.host.spec().cpu.hz as f64;
+        let hz = self.consts.hz;
         if let Some(d) = self.domains.get_mut(dom.0 as usize).filter(|d| d.down) {
             d.down = false;
             d.add_overhead_cycles(boot_delay_s * hz);
@@ -223,6 +270,7 @@ impl Hypervisor {
             "invalid starvation utilisation: {util}"
         );
         self.starve_core_util = util;
+        self.consts = QuantumConsts::new(self.consts.dt, self);
     }
 
     /// Submit guest application CPU work. The demand is multiplied by the
@@ -235,27 +283,28 @@ impl Hypervisor {
     /// Run one scheduling quantum of length `dt`. Completed application
     /// work tokens are appended to `completions`.
     pub fn quantum_tick(&mut self, dt: SimDuration, completions: &mut Vec<Completion>) {
-        let dt_secs = dt.as_secs_f64();
-        let hz = self.host.spec().cpu.hz as f64;
+        if dt != self.consts.dt {
+            self.consts = QuantumConsts::new(dt, self);
+        }
+        let QuantumConsts {
+            dt_secs,
+            hz,
+            hv_cycles,
+            log_bytes,
+            dom0_base,
+            ..
+        } = self.consts;
 
         // 1. Hypervisor housekeeping (timer ticks, scheduler runs).
-        let n_doms = self.domains.len() as f64;
-        let hv = self.overhead.hypervisor_cycles_per_sec * dt_secs
-            + self.overhead.hypervisor_cycles_per_sec_per_dom * n_doms * dt_secs;
-        self.hv_cycles.add(round_u64(hv));
-        self.host.cycles.add(round_u64(hv));
+        self.hv_cycles.add(hv_cycles);
+        self.host.cycles.add(hv_cycles);
 
-        // 2. Dom0 housekeeping, including its own journaling writes.
-        let log_bytes = (self.overhead.dom0_log_bytes_per_sec * dt_secs) as u64;
+        // 2. Dom0 housekeeping, including its own journaling writes and
+        // any credit-starvation load.
         if log_bytes > 0 {
             self.host.disk.bytes_written().add(log_bytes);
             self.host.disk.writes().add(1);
         }
-        // The credit-starvation fault inflates dom0's demand by a
-        // fraction of one core; its boosted weight turns that demand
-        // into credit the guests no longer receive.
-        let dom0_base =
-            self.overhead.dom0_cycles_per_sec * dt_secs + self.starve_core_util * hz * dt_secs;
         self.dom0_mut().add_overhead_cycles(dom0_base);
 
         // 3. Collect demands (core-seconds) in id order, as the
@@ -278,7 +327,7 @@ impl Hypervisor {
             }
             let dom = &mut self.domains[alloc.dom.0 as usize];
             let budget_cycles = alloc.core_secs * hz;
-            let executed = dom.execute(budget_cycles, &mut self.tokens);
+            let (executed, executed_cycles) = dom.execute(budget_cycles, &mut self.tokens);
             // Guest sysstat over-reports cycle usage (steal-time
             // misattribution); dom0's accounting is physical.
             if !alloc.dom.is_dom0() {
@@ -294,7 +343,7 @@ impl Hypervisor {
                     .add((alloc.core_secs / dt_secs).ceil().max(1.0) as u64);
                 dom.kernel.interrupts.add(1); // timer tick
             }
-            self.host.cycles.add(round_u64(executed));
+            self.host.cycles.add(executed_cycles);
             executed_cycles_total += executed;
             completions.extend(self.tokens.drain(..).map(|token| Completion {
                 dom: alloc.dom,

@@ -54,23 +54,25 @@ pub struct Allocation {
 struct DomState {
     params: SchedParams,
     credits: f64,
+    /// Credits added per quantum of length `refill_dt`.
+    refill: f64,
 }
 
-/// Per-quantum working buffers of [`CreditScheduler::allocate_into`],
-/// kept across quanta so the steady state allocates nothing. The first
-/// four run parallel to the demand list.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
+/// One demanding domain's water-filling state for the current quantum,
+/// in demand order. The slots are kept across quanta so the steady
+/// state allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     /// Effective ceiling: demand ∧ vcpus·dt ∧ cap·dt.
-    ceiling: Vec<f64>,
+    ceiling: f64,
     /// Scheduling weight.
-    weight: Vec<f64>,
+    weight: f64,
     /// Core-seconds granted so far this quantum.
-    granted: Vec<f64>,
+    granted: f64,
     /// Whether the domain is UNDER (non-negative credits) this quantum.
-    under: Vec<bool>,
-    /// Demand indices still being water-filled in the current class.
-    class: Vec<usize>,
+    under: bool,
+    /// Still being water-filled in the current class.
+    open: bool,
 }
 
 /// The credit scheduler.
@@ -80,9 +82,11 @@ pub struct CreditScheduler {
     /// Per-domain state indexed by `DomId.0`; `None` marks an id that
     /// was never registered or has been removed.
     doms: Vec<Option<DomState>>,
-    /// Credit period in seconds (Xen: 30 ms).
-    period_secs: f64,
-    scratch: Scratch,
+    /// Credit clamp: one credit period (Xen: 30 ms) of the machine.
+    clamp: f64,
+    /// Quantum length of every `refill`; NaN after a (de)registration.
+    refill_dt: f64,
+    slots: Vec<Slot>,
 }
 
 impl CreditScheduler {
@@ -92,8 +96,9 @@ impl CreditScheduler {
         CreditScheduler {
             physical_cores,
             doms: Vec::new(),
-            period_secs: 0.030,
-            scratch: Scratch::default(),
+            clamp: physical_cores as f64 * 0.030,
+            refill_dt: f64::NAN,
+            slots: Vec::new(),
         }
     }
 
@@ -119,7 +124,9 @@ impl CreditScheduler {
         self.doms[i] = Some(DomState {
             params,
             credits: 0.0,
+            refill: 0.0,
         });
+        self.refill_dt = f64::NAN;
     }
 
     /// Remove a domain (e.g. VM destroyed).
@@ -127,6 +134,7 @@ impl CreditScheduler {
         if let Some(slot) = self.doms.get_mut(dom.0 as usize) {
             *slot = None;
         }
+        self.refill_dt = f64::NAN;
     }
 
     /// Change a registered domain's cap at runtime (the model of
@@ -174,36 +182,29 @@ impl CreditScheduler {
             "demands must be unique and sorted by domain id"
         );
         // 1. Refill credits in proportion to weight, scaled to quantum
-        //    length; clamp to ±1 period of full-machine capacity.
+        //    length (recomputed only when the length or the registered
+        //    set changes); clamp to ±1 period of full-machine capacity.
         let capacity = self.physical_cores as f64 * dt_secs;
-        let total_weight: f64 = self
-            .doms
-            .iter()
-            .flatten()
-            .map(|d| f64::from(d.params.weight))
-            .sum();
-        if total_weight > 0.0 {
-            let clamp = self.physical_cores as f64 * self.period_secs;
+        if dt_secs != self.refill_dt {
+            let total_weight: f64 = self
+                .doms
+                .iter()
+                .flatten()
+                .map(|d| f64::from(d.params.weight))
+                .sum();
             for st in self.doms.iter_mut().flatten() {
-                st.credits += capacity * f64::from(st.params.weight) / total_weight;
-                st.credits = st.credits.clamp(-clamp, clamp);
+                st.refill = capacity * f64::from(st.params.weight) / total_weight;
             }
+            self.refill_dt = dt_secs;
+        }
+        for st in self.doms.iter_mut().flatten() {
+            st.credits = (st.credits + st.refill).clamp(-self.clamp, self.clamp);
         }
 
         // 2. Effective per-domain ceiling: demand ∧ vcpus·dt ∧ cap·dt.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Scratch {
-            ceiling,
-            weight,
-            granted,
-            under,
-            class,
-        } = &mut scratch;
-        ceiling.clear();
-        weight.clear();
-        granted.clear();
-        under.clear();
-        for d in demands {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        slots.extend(demands.iter().map(|d| {
             let st = self
                 .state(d.dom)
                 .unwrap_or_else(|| panic!("unregistered domain {:?}", d.dom));
@@ -212,11 +213,14 @@ impl CreditScheduler {
             if let Some(cap) = st.params.cap_percent {
                 ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
             }
-            ceiling.push(ceil);
-            weight.push(f64::from(st.params.weight));
-            granted.push(0.0);
-            under.push(st.credits >= 0.0);
-        }
+            Slot {
+                ceiling: ceil,
+                weight: f64::from(st.params.weight),
+                granted: 0.0,
+                under: st.credits >= 0.0,
+                open: false,
+            }
+        }));
 
         // 3. Two-class weighted water-filling, in demand order. A
         //    domain's class is fixed for the quantum (credits move only
@@ -226,33 +230,28 @@ impl CreditScheduler {
             if remaining <= 1e-15 {
                 break;
             }
-            class.clear();
-            class.extend(
-                (0..demands.len()).filter(|&i| ceiling[i] > 1e-15 && under[i] == under_class),
-            );
-            // Water-fill within the class.
-            while !class.is_empty() && remaining > 1e-15 {
-                let wsum: f64 = class.iter().map(|&i| weight[i]).sum();
-                // Find domains whose fair share covers their ceiling.
+            for s in slots.iter_mut() {
+                s.open = s.ceiling > 1e-15 && s.under == under_class;
+            }
+            while remaining > 1e-15 && slots.iter().any(|s| s.open) {
+                let wsum: f64 = slots.iter().filter(|s| s.open).map(|s| s.weight).sum();
+                // Close the slots whose fair share covers their ceiling.
                 let mut saturated = false;
-                class.retain(|&i| {
-                    let share = remaining * weight[i] / wsum;
-                    if share >= ceiling[i] {
-                        granted[i] = ceiling[i];
+                for s in slots.iter_mut().filter(|s| s.open) {
+                    if remaining * s.weight / wsum >= s.ceiling {
+                        s.granted = s.ceiling;
+                        s.open = false;
                         saturated = true;
-                        false
-                    } else {
-                        true
                     }
-                });
+                }
                 // Deduct what saturated domains took (summed in id order).
-                let taken: f64 = granted.iter().sum();
+                let taken: f64 = slots.iter().map(|s| s.granted).sum();
                 remaining = capacity - taken;
                 if !saturated {
-                    // No one saturates: give proportional shares and stop.
-                    let wsum: f64 = class.iter().map(|&i| weight[i]).sum();
-                    for &i in class.iter() {
-                        granted[i] = remaining * weight[i] / wsum;
+                    // No one saturates: give proportional shares (of the
+                    // unchanged open set's `wsum`) and stop.
+                    for s in slots.iter_mut().filter(|s| s.open) {
+                        s.granted = remaining * s.weight / wsum;
                     }
                     remaining = 0.0;
                     break;
@@ -262,15 +261,15 @@ impl CreditScheduler {
 
         // 4. Debit credits and produce allocations.
         out.clear();
-        for (d, &got) in demands.iter().zip(granted.iter()) {
-            self.state_mut(d.dom).credits -= got;
+        for (d, s) in demands.iter().zip(&slots) {
+            self.state_mut(d.dom).credits -= s.granted;
             out.push(Allocation {
                 dom: d.dom,
-                core_secs: got,
-                starved_core_secs: (d.core_secs.max(0.0) - got).max(0.0),
+                core_secs: s.granted,
+                starved_core_secs: (d.core_secs.max(0.0) - s.granted).max(0.0),
             });
         }
-        self.scratch = scratch;
+        self.slots = slots;
 
         if audit::is_enabled() {
             let total: f64 = out.iter().map(|a| a.core_secs).sum();
