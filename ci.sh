@@ -8,6 +8,9 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo clippy incompatible_msrv (no std API newer than the declared rust-version)"
+cargo clippy --workspace --all-targets -- -A clippy::all -D clippy::incompatible_msrv
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -149,7 +149,7 @@ fn prepare(xs: &[f64]) -> Option<(Vec<f64>, f64, f64)> {
     let mean = xs.iter().fold(0.0, |acc, x| acc + x) / n;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    crate::summary::sort_total(&mut sorted);
     Some((sorted, mean, var))
 }
 

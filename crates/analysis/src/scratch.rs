@@ -51,6 +51,9 @@ pub struct SeriesScratch {
     fft: FftScratch,
     /// Fused one-pass moments of the loaded series.
     moments: Moments,
+    /// Co-moments of the series with itself one sample later, from the
+    /// same pass.
+    lag1: Comoments,
     /// Arithmetic mean (`sum / n`; 0 for an empty series).
     mean: f64,
     /// Total AC power `Σ (x − mean)²`.
@@ -80,7 +83,8 @@ impl SeriesScratch {
             raw_jumps: Vec::new(),
             jumps: Vec::new(),
             fft: FftScratch::new(),
-            moments: Moments::of(&[]),
+            moments: Moments::EMPTY,
+            lag1: Comoments::EMPTY,
             mean: 0.0,
             total_power: 0.0,
             sorted_valid: false,
@@ -89,8 +93,8 @@ impl SeriesScratch {
         }
     }
 
-    /// Load a series: copies it, computes the fused moments, centers it
-    /// and accumulates the total AC power in one shared pass.
+    /// Load a series: copies it, computes the fused moments and lag-1
+    /// co-moments, centers it and accumulates the total AC power.
     /// Invalidates all lazily-built products of the previous load.
     pub fn load(&mut self, xs: &[f64]) -> &mut Self {
         self.begin_load();
@@ -112,11 +116,12 @@ impl SeriesScratch {
         self.values.extend_from_slice(xs);
     }
 
-    /// Finish an incremental load: computes the fused moments, centers
-    /// the series and accumulates the total AC power — bit-identical to
-    /// a single [`load`](SeriesScratch::load) of the concatenation.
+    /// Finish an incremental load: computes the fused moments and lag-1
+    /// co-moments, centers the series and accumulates the total AC
+    /// power — bit-identical to a single
+    /// [`load`](SeriesScratch::load) of the concatenation.
     pub fn finish_load(&mut self) {
-        self.moments = Moments::of(&self.values);
+        (self.moments, self.lag1) = Moments::with_lag1(&self.values);
         self.mean = if self.moments.count > 0 {
             self.moments.sum / self.moments.count as f64
         } else {
@@ -157,7 +162,7 @@ impl SeriesScratch {
         }
         self.sorted.clear();
         self.sorted.extend_from_slice(&self.values);
-        self.sorted.sort_by(f64::total_cmp);
+        summary::sort_total(&mut self.sorted);
         self.sorted_valid = true;
     }
 
@@ -229,11 +234,15 @@ impl SeriesScratch {
     }
 
     /// Sample autocorrelation at lag `k` — same semantics as
-    /// [`crate::autocorrelation`], allocation-free.
+    /// [`crate::autocorrelation`], allocation-free. Lag 1 reads the
+    /// co-moments computed at load.
     pub fn autocorrelation(&self, k: usize) -> Option<f64> {
         let len = self.values.len();
         if len < k + 2 {
             return None;
+        }
+        if k == 1 {
+            return self.lag1.pearson();
         }
         let n = len - k;
         Comoments::of(&self.values[..n], &self.values[k..]).pearson()

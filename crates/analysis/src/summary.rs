@@ -76,8 +76,32 @@ pub fn summarize(xs: &[f64]) -> Option<Summary> {
         return None;
     }
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    sort_total(&mut sorted);
     Some(summary_from_parts(&m, &sorted))
+}
+
+/// `f64` bits as a signed integer whose order is `f64::total_cmp`
+/// order: negative values have every bit but the sign flipped. The map
+/// keeps the sign bit, so it is its own inverse.
+fn total_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Sort ascending exactly as `sort_by(f64::total_cmp)` does, NaN
+/// payloads and signed zeros included, by sorting integer keys: keys
+/// are equal only for equal bits, so the unstable integer sort leaves
+/// nothing for stability to decide. Both conversions collect in place,
+/// so the buffer is reused.
+pub(crate) fn sort_total(xs: &mut Vec<f64>) {
+    let mut keys: Vec<i64> = std::mem::take(xs)
+        .into_iter()
+        .map(|x| total_key(x.to_bits() as i64))
+        .collect();
+    keys.sort_unstable();
+    *xs = keys
+        .into_iter()
+        .map(|k| f64::from_bits(total_key(k) as u64))
+        .collect();
 }
 
 /// Sample autocorrelation at integer lag `k` (Pearson of the series with
@@ -120,6 +144,73 @@ pub fn autocorrelations(xs: &[f64], max_lag: usize) -> Vec<Option<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An `f64` drawn from `bits`: a special value (NaNs of both signs
+    /// with distinct payloads, ±0, ±∞, subnormals, the extreme normals)
+    /// or, half the time, the raw pattern itself.
+    fn special(bits: u64) -> f64 {
+        const SPECIALS: [u64; 16] = [
+            0x7ff8_0000_0000_0000, // quiet NaN
+            0xfff8_0000_0000_0000, // negative quiet NaN
+            0x7ff0_0000_0000_0001, // signalling NaN, payload 1
+            0xfff4_0000_0000_00ff, // negative NaN, another payload
+            0x0000_0000_0000_0000, // +0
+            0x8000_0000_0000_0000, // -0
+            0x7ff0_0000_0000_0000, // +inf
+            0xfff0_0000_0000_0000, // -inf
+            0x0000_0000_0000_0001, // smallest subnormal
+            0x8000_0000_0000_0001, // its negative
+            0x000f_ffff_ffff_ffff, // largest subnormal
+            0x800f_ffff_ffff_ffff, // its negative
+            0x0010_0000_0000_0000, // smallest normal
+            0x7fef_ffff_ffff_ffff, // largest finite
+            0xffef_ffff_ffff_ffff, // most negative finite
+            0x3ff0_0000_0000_0000, // 1.0
+        ];
+        if bits & 1 == 0 {
+            f64::from_bits(bits)
+        } else {
+            f64::from_bits(SPECIALS[(bits >> 1) as usize % SPECIALS.len()])
+        }
+    }
+
+    proptest! {
+        /// The integer-key sort is `sort_by(f64::total_cmp)` bit for bit.
+        #[test]
+        fn sort_total_matches_total_cmp_bit_for_bit(
+            raw in proptest::collection::vec(any::<u64>(), 0..300),
+        ) {
+            let xs: Vec<f64> = raw.iter().map(|&b| special(b)).collect();
+            let mut want = xs.clone();
+            want.sort_by(f64::total_cmp);
+            let mut got = xs;
+            sort_total(&mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn sort_total_orders_every_special_value() {
+        let mut xs: Vec<f64> = (0..32u64).map(|i| special(2 * i + 1)).collect();
+        let mut want = xs.clone();
+        want.sort_by(f64::total_cmp);
+        sort_total(&mut xs);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&xs), bits(&want));
+        assert_eq!(xs[0].to_bits(), 0xfff8_0000_0000_0000);
+        assert_eq!(xs[xs.len() - 1].to_bits(), 0x7ff8_0000_0000_0000);
+    }
+
+    #[test]
+    fn sort_total_reuses_its_buffer() {
+        let mut xs: Vec<f64> = (0..100).map(|i| (i * 37 % 100) as f64).collect();
+        let ptr = xs.as_ptr();
+        sort_total(&mut xs);
+        assert_eq!(xs.as_ptr(), ptr);
+        assert!(xs.windows(2).all(|w| w[0] <= w[1]));
+    }
 
     #[test]
     fn summary_basics() {

@@ -4,7 +4,7 @@ use cloudchar_analysis::fit::ks_distance;
 use cloudchar_analysis::{
     aggregate_ratio, autocorrelation, best_fit, cross_correlation, cross_correlation_scan,
     detect_jumps, dominant_periods, find_lag, find_lag_naive, fit_all, goertzel_periodogram,
-    mean_ratio, pearson, periodogram, summarize, FitResult, Fitted,
+    mean_ratio, pearson, periodogram, summarize, FitResult, Fitted, SeriesScratch,
 };
 use proptest::prelude::*;
 
@@ -336,4 +336,34 @@ fn constant_positive_series_matches_the_full_ranking() {
         fit_bits(Some(best)),
         fit_bits(fit_all(&xs).first().copied())
     );
+}
+
+proptest! {
+    /// The scratch's lag-1 autocorrelation (read from the co-moments of
+    /// the load pass) and its lag-2 one (a fresh pass) equal the free
+    /// function bit for bit, on series with signed zeros, repeats and
+    /// non-finite samples.
+    #[test]
+    fn scratch_autocorrelation_matches_free_function_bit_for_bit(
+        raw in proptest::collection::vec(any::<u64>(), 0..120),
+    ) {
+        let xs: Vec<f64> = raw
+            .iter()
+            .map(|&b| match b % 20 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4..=9 => (b % 5) as f64,
+                _ => (b >> 11) as f64 / (1u64 << 50) as f64 - 4.0,
+            })
+            .collect();
+        let mut scratch = SeriesScratch::new();
+        scratch.load(&xs);
+        for k in [0, 1, 2] {
+            let got = scratch.autocorrelation(k).map(f64::to_bits);
+            let want = autocorrelation(&xs, k).map(f64::to_bits);
+            prop_assert_eq!(got, want, "lag {}", k);
+        }
+    }
 }

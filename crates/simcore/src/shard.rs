@@ -122,7 +122,7 @@ impl Topology {
                 for j in 0..n {
                     let Some(kj) = c[k * n + j] else { continue };
                     let via = ik + kj;
-                    if c[i * n + j].is_none_or(|cur| via < cur) {
+                    if c[i * n + j].map_or(true, |cur| via < cur) {
                         c[i * n + j] = Some(via);
                     }
                 }
@@ -139,7 +139,7 @@ impl Topology {
                         continue;
                     };
                     let via = sj + l;
-                    if p[s * n + d].is_none_or(|cur| via < cur) {
+                    if p[s * n + d].map_or(true, |cur| via < cur) {
                         p[s * n + d] = Some(via);
                     }
                 }
@@ -433,7 +433,7 @@ fn drain_cell<S: ShardLogic>(
             units += cell.logic.run_local(&mut ctx);
             let after = cell.logic.next_local();
             assert!(
-                after.is_none_or(|t| t >= cut),
+                after.map_or(true, |t| t >= cut),
                 "shard {id} run_local left an event at {after:?} below its limit {cut}"
             );
             cell.floor = cell.floor.max(cut);

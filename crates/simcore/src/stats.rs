@@ -145,41 +145,63 @@ pub struct Moments {
 }
 
 impl Moments {
+    /// The moments of no observations, which [`push`](Moments::push)
+    /// starts from.
+    pub const EMPTY: Moments = Moments {
+        count: 0,
+        mean: 0.0,
+        m2: 0.0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        all_finite: true,
+    };
+
+    /// Add one observation: Welford's update plus the running sum,
+    /// extremes and finiteness.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.count += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+        self.sum += x;
+        if x < self.min {
+            self.min = x;
+        }
+        if x > self.max {
+            self.max = x;
+        }
+        self.all_finite &= x.is_finite();
+    }
+
     /// Compute the moments of `xs` in one pass.
     pub fn of(xs: &[f64]) -> Self {
-        let mut count = 0usize;
-        let mut mean = 0.0;
-        let mut m2 = 0.0;
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut all_finite = true;
+        let mut m = Moments::EMPTY;
         for &x in xs {
-            count += 1;
-            let delta = x - mean;
-            mean += delta / count as f64;
-            m2 += delta * (x - mean);
-            sum += x;
-            if x < min {
-                min = x;
+            m.push(x);
+        }
+        m
+    }
+
+    /// The moments of `xs` and the lag-1 co-moments of
+    /// `(xs[..n-1], xs[1..])` from one loop: the same values, bit for
+    /// bit, as [`Moments::of`] and [`Comoments::of`] on those slices.
+    /// The two Welford chains do not depend on each other, so their
+    /// divisions overlap instead of running one pass after the other.
+    pub fn with_lag1(xs: &[f64]) -> (Moments, Comoments) {
+        let mut m = Moments::EMPTY;
+        let mut c = Comoments::EMPTY;
+        if let Some((&first, rest)) = xs.split_first() {
+            m.push(first);
+            let mut prev = first;
+            for &x in rest {
+                m.push(x);
+                c.push(prev, x);
+                prev = x;
             }
-            if x > max {
-                max = x;
-            }
-            all_finite &= x.is_finite();
         }
-        if count == 0 {
-            mean = 0.0;
-        }
-        Moments {
-            count,
-            mean,
-            m2,
-            sum,
-            min,
-            max,
-            all_finite,
-        }
+        (m, c)
     }
 
     /// Population variance (0 when fewer than 2 observations).
@@ -234,39 +256,43 @@ pub struct Comoments {
 }
 
 impl Comoments {
+    /// The co-moments of no pairs, which [`push`](Comoments::push)
+    /// starts from.
+    pub const EMPTY: Comoments = Comoments {
+        count: 0,
+        mean_x: 0.0,
+        mean_y: 0.0,
+        m2x: 0.0,
+        m2y: 0.0,
+        cxy: 0.0,
+        all_finite: true,
+    };
+
+    /// Add one pair `(x, y)`.
+    #[inline]
+    pub fn push(&mut self, x: f64, y: f64) {
+        self.count += 1;
+        let n = self.count as f64;
+        let dx = x - self.mean_x;
+        let dy = y - self.mean_y;
+        self.mean_x += dx / n;
+        self.mean_y += dy / n;
+        // dx is the pre-update delta, (y - mean_y) the post-update
+        // one — the standard stable co-moment recurrence.
+        self.cxy += dx * (y - self.mean_y);
+        self.m2x += dx * (x - self.mean_x);
+        self.m2y += dy * (y - self.mean_y);
+        self.all_finite &= x.is_finite() && y.is_finite();
+    }
+
     /// Compute the paired moments of `zip(xs, ys)` in one pass (pairs
     /// past the shorter slice are ignored).
     pub fn of(xs: &[f64], ys: &[f64]) -> Self {
-        let mut count = 0usize;
-        let mut mean_x = 0.0;
-        let mut mean_y = 0.0;
-        let mut m2x = 0.0;
-        let mut m2y = 0.0;
-        let mut cxy = 0.0;
-        let mut all_finite = true;
+        let mut c = Comoments::EMPTY;
         for (&x, &y) in xs.iter().zip(ys) {
-            count += 1;
-            let n = count as f64;
-            let dx = x - mean_x;
-            let dy = y - mean_y;
-            mean_x += dx / n;
-            mean_y += dy / n;
-            // dx is the pre-update delta, (y - mean_y) the post-update
-            // one — the standard stable co-moment recurrence.
-            cxy += dx * (y - mean_y);
-            m2x += dx * (x - mean_x);
-            m2y += dy * (y - mean_y);
-            all_finite &= x.is_finite() && y.is_finite();
+            c.push(x, y);
         }
-        Comoments {
-            count,
-            mean_x,
-            mean_y,
-            m2x,
-            m2y,
-            cxy,
-            all_finite,
-        }
+        c
     }
 
     /// Population covariance (0 when fewer than 2 pairs).

@@ -1,5 +1,6 @@
 //! Property-based tests for the simulation core.
 
+use cloudchar_simcore::stats::{Comoments, Moments};
 use cloudchar_simcore::{round_u64, Dist, Engine, Sample, SimDuration, SimRng, SimTime, Welford};
 use proptest::prelude::*;
 
@@ -207,5 +208,86 @@ proptest! {
         for _ in 0..20 {
             prop_assert_eq!(a1.next_u64_raw(), a2.next_u64_raw());
         }
+    }
+}
+
+/// Every field of a `Moments` and a `Comoments`, floats as bits.
+fn moment_bits(m: &Moments, c: &Comoments) -> Vec<u64> {
+    vec![
+        m.count as u64,
+        m.mean.to_bits(),
+        m.m2.to_bits(),
+        m.sum.to_bits(),
+        m.min.to_bits(),
+        m.max.to_bits(),
+        m.all_finite as u64,
+        c.count as u64,
+        c.mean_x.to_bits(),
+        c.mean_y.to_bits(),
+        c.m2x.to_bits(),
+        c.m2y.to_bits(),
+        c.cxy.to_bits(),
+        c.all_finite as u64,
+    ]
+}
+
+/// The two separate passes the fused loop replaces.
+fn separate(xs: &[f64]) -> (Moments, Comoments) {
+    let lagged = if xs.is_empty() {
+        Comoments::of(&[], &[])
+    } else {
+        Comoments::of(&xs[..xs.len() - 1], &xs[1..])
+    };
+    (Moments::of(xs), lagged)
+}
+
+/// A sample value from `bits`: mostly modest finite values, with ±0,
+/// ±∞, NaN and huge magnitudes mixed in.
+fn sample(bits: u64) -> f64 {
+    match bits % 16 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 => (bits >> 11) as f64 * 1e290,
+        _ => (bits >> 11) as f64 / (1u64 << 40) as f64 - 2048.0,
+    }
+}
+
+#[test]
+fn fused_lag1_moments_match_separate_passes_on_short_series() {
+    for xs in [
+        &[][..],
+        &[1.5][..],
+        &[-0.0][..],
+        &[2.0, -3.0][..],
+        &[f64::NAN, 1.0][..],
+        &[1.0, 2.0, 4.0][..],
+        &[f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0][..],
+    ] {
+        let (m, c) = Moments::with_lag1(xs);
+        let (want_m, want_c) = separate(xs);
+        assert_eq!(moment_bits(&m, &c), moment_bits(&want_m, &want_c), "{xs:?}");
+    }
+}
+
+proptest! {
+    /// The fused moments + lag-1 co-moments loop equals `Moments::of`
+    /// plus `Comoments::of` on the lagged slices, every field bit for
+    /// bit (NaN results included: the same operations give the same
+    /// bits).
+    #[test]
+    fn fused_lag1_moments_match_separate_passes(
+        raw in proptest::collection::vec(any::<u64>(), 0..200),
+        finite_only in any::<bool>(),
+    ) {
+        let xs: Vec<f64> = raw
+            .iter()
+            .map(|&b| if finite_only { sample(b | 8) } else { sample(b) })
+            .collect();
+        let (m, c) = Moments::with_lag1(&xs);
+        let (want_m, want_c) = separate(&xs);
+        prop_assert_eq!(moment_bits(&m, &c), moment_bits(&want_m, &want_c));
     }
 }
