@@ -365,7 +365,7 @@ fn record_json() {
 
     let recorded = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unrecorded".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, best of 50 interleaved passes where pass k runs steps 1..k (load, summary, best_fit, autocorrelation, jumps, periodogram) and step k is charged pass k minus pass k-1; distinct = series left after bitwise deduplication; full_characterize_jobs1_us_per_series = the deduplicated full_characterize(r, 1) divided by the series count.\"\n}}\n"
+        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, best of 50 interleaved passes where pass k runs steps 1..k (load, summary, best_fit, autocorrelation, jumps, periodogram) and step k is charged pass k minus pass k-1 (load computes the lag-1 co-moments in its moments loop, so the autocorrelation step only reads them); distinct = series left after bitwise deduplication; full_characterize_jobs1_us_per_series = the deduplicated full_characterize(r, 1) divided by the series count.\"\n}}\n"
     );
     // cargo bench runs with cwd = the package root; anchor to the
     // workspace results/ directory regardless.
