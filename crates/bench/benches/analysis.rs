@@ -133,47 +133,56 @@ const STEPS: [&str; 6] = [
     "periodogram",
 ];
 
-/// One pass over `series` that runs the first `steps` entries of
-/// [`STEPS`] on each. Returns a checksum for black_box.
-fn profile_prefix(scratch: &mut SeriesScratch, series: &[&[f64]], steps: usize) -> f64 {
+/// One pass over `series` that runs every step of [`STEPS`] on each and
+/// reads the clock between steps, adding the time since the previous
+/// read to that step's entry of `ns`. Returns a checksum for black_box.
+fn profile_timed(
+    scratch: &mut SeriesScratch,
+    series: &[&[f64]],
+    ns: &mut [u128; STEPS.len()],
+) -> f64 {
     let mut acc = 0.0;
     for xs in series {
+        let mut t = Instant::now();
+        let mut lap = |step: usize| {
+            let now = Instant::now();
+            ns[step] += (now - t).as_nanos();
+            t = now;
+        };
         scratch.load(xs);
-        if steps < 2 {
-            continue;
-        }
-        let Some(summary) = scratch.summary() else {
+        lap(0);
+        let summary = scratch.summary();
+        lap(1);
+        let Some(summary) = summary else {
             continue;
         };
         acc += summary.mean;
-        if steps >= 3 {
-            acc += scratch.best_fit().map_or(0.0, |f| f.ks);
-        }
-        if steps >= 4 {
-            acc += scratch.autocorrelation(1).unwrap_or(0.0);
-        }
-        if steps >= 5 {
-            let threshold = (summary.mean.abs() * 0.10).max(1e-9);
-            acc += scratch.detect_jumps(15, threshold).len() as f64;
-        }
-        if steps >= 6 {
-            acc += scratch
-                .dominant_periods(0.10, 1)
-                .first()
-                .map_or(0.0, |p| p.power);
-        }
+        acc += scratch.best_fit().map_or(0.0, |f| f.ks);
+        lap(2);
+        acc += scratch.autocorrelation(1).unwrap_or(0.0);
+        lap(3);
+        let threshold = (summary.mean.abs() * 0.10).max(1e-9);
+        acc += scratch.detect_jumps(15, threshold).len() as f64;
+        lap(4);
+        acc += scratch
+            .dominant_periods(0.10, 1)
+            .first()
+            .map_or(0.0, |p| p.power);
+        lap(5);
     }
     acc
 }
 
 /// Per-step cost of profiling every catalog series of the `fast`
 /// virtualized browsing run (seed 42) on one thread, without
-/// deduplication: pass `k` runs steps `1..=k` of [`STEPS`], and step
-/// `k` is charged the best-of-`reps` difference between passes `k` and
-/// `k - 1`, so the steps sum to the full profile pass. Returns the
-/// series count, the distinct-series count, the per-step µs per series
-/// and `full_characterize(r, 1)` in µs per series.
-fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64) {
+/// deduplication. Each pass runs all of [`STEPS`] and charges a step
+/// the clock time between its start and end, so no entry can be
+/// negative; each step's entry is its best of `reps` passes. Every
+/// entry includes one clock read, whose cost is measured on its own.
+/// Returns the series count, the distinct-series count, the per-step
+/// µs per series, `full_characterize(r, 1)` in µs per series and the
+/// clock read in µs.
+fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64, f64) {
     let r = run(ExperimentConfig::fast(
         Deployment::Virtualized,
         WorkloadMix::BROWSING,
@@ -192,34 +201,39 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64) {
         .len();
     let mut scratch = SeriesScratch::new();
     let per_series = |ns: u128| ns as f64 / 1e3 / series.len() as f64;
-    // Interleave the passes, and the full pass, so machine noise
-    // reaches all of them alike.
+    // Interleave the timed passes and the full pass, so machine noise
+    // reaches both alike.
     let mut best = [u128::MAX; STEPS.len()];
     let mut full = u128::MAX;
     for _ in 0..reps {
-        for (k, slot) in best.iter_mut().enumerate() {
-            let ns = best_of(1, || {
-                black_box(profile_prefix(&mut scratch, &series, k + 1));
-            });
+        let mut ns = [0u128; STEPS.len()];
+        black_box(profile_timed(&mut scratch, &series, &mut ns));
+        for (slot, ns) in best.iter_mut().zip(ns) {
             *slot = (*slot).min(ns);
         }
         full = full.min(best_of(1, || {
             black_box(full_characterize(&r, 1).profiles.len());
         }));
     }
-    let mut previous = 0.0;
-    let mut split = Vec::with_capacity(STEPS.len());
-    for ns in best {
-        let pass = per_series(ns);
-        split.push(pass - previous);
-        previous = pass;
-    }
-    (series.len(), distinct, split, per_series(full))
+    const READS: u32 = 10_000;
+    let clock = best_of(reps, || {
+        for _ in 0..READS {
+            black_box(Instant::now());
+        }
+    });
+    let split = best.iter().map(|&ns| per_series(ns)).collect();
+    (
+        series.len(),
+        distinct,
+        split,
+        per_series(full),
+        clock as f64 / 1e3 / f64::from(READS),
+    )
 }
 
 /// Print the per-step split and return it as a JSON section.
 fn characterize_steps_section() -> String {
-    let (series, distinct, split, full) = characterize_steps(50);
+    let (series, distinct, split, full, clock) = characterize_steps(50);
     let total: f64 = split.iter().sum();
     let mut steps = String::new();
     for (name, us) in STEPS.iter().zip(&split) {
@@ -228,8 +242,9 @@ fn characterize_steps_section() -> String {
     }
     eprintln!("[bench] characterize steps total {total:.3} us/series over {series} series ({distinct} distinct)");
     eprintln!("[bench] full_characterize(jobs 1) {full:.3} us/series");
+    eprintln!("[bench] one clock read {clock:.3} us");
     format!(
-        "  \"characterize_steps\": {{\n    \"series\": {series},\n    \"distinct\": {distinct},\n    \"us_per_series\": {{ {steps}\"total\": {total:.3} }},\n    \"full_characterize_jobs1_us_per_series\": {full:.3}\n  }},\n"
+        "  \"characterize_steps\": {{\n    \"series\": {series},\n    \"distinct\": {distinct},\n    \"us_per_series\": {{ {steps}\"total\": {total:.3} }},\n    \"full_characterize_jobs1_us_per_series\": {full:.3},\n    \"clock_read_us\": {clock:.3}\n  }},\n"
     )
 }
 
@@ -365,7 +380,7 @@ fn record_json() {
 
     let recorded = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unrecorded".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, best of 50 interleaved passes where pass k runs steps 1..k (load, summary, best_fit, autocorrelation, jumps, periodogram) and step k is charged pass k minus pass k-1 (load computes the lag-1 co-moments in its moments loop, so the autocorrelation step only reads them); distinct = series left after bitwise deduplication; full_characterize_jobs1_us_per_series = the deduplicated full_characterize(r, 1) divided by the series count.\"\n}}\n"
+        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, 50 interleaved passes that each run all steps (load, summary, best_fit, autocorrelation, jumps, periodogram) and charge a step the clock time from its start to its end, each step's entry the best of its 50 (load computes the lag-1 co-moments in its moments loop, so the autocorrelation step only reads them); every entry includes one clock read, clock_read_us; distinct = series left after bitwise deduplication; full_characterize_jobs1_us_per_series = the deduplicated full_characterize(r, 1) divided by the series count.\"\n}}\n"
     );
     // cargo bench runs with cwd = the package root; anchor to the
     // workspace results/ directory regardless.

@@ -108,7 +108,12 @@ impl Nic {
     /// one-way latency).
     pub fn transmit(&mut self, now: SimTime, bytes: Bytes) -> SimTime {
         let start = self.tx_busy_until.max(now);
-        let wire = self.spec.wire_time(bytes).mul_f64(self.fault_factor);
+        let mut wire = self.spec.wire_time(bytes);
+        // Below 2^53 ns the rescale by 1.0 is exact (`u64 -> f64` loses
+        // nothing), so a healthy link skips it; the result is the same.
+        if self.fault_factor != 1.0 || wire.as_nanos() >= 1 << 53 {
+            wire = wire.mul_f64(self.fault_factor);
+        }
         let done = start + wire;
         cloudchar_simcore::audit::check(
             "hw.nic.tx_monotonic",

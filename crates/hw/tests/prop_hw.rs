@@ -3,7 +3,7 @@
 use cloudchar_hw::{
     Disk, DiskSpec, IoKind, IoRequest, MemoryPool, MemorySpec, Nic, NicSpec, WorkQueue, WorkToken,
 };
-use cloudchar_simcore::SimTime;
+use cloudchar_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -48,6 +48,45 @@ proptest! {
         }
         let (_, tx) = nic.totals();
         prop_assert_eq!(tx, sizes.iter().sum::<u64>());
+    }
+
+    /// `transmit` delivers at exactly `start + wire_time(bytes)
+    /// .mul_f64(factor) + latency`, bit for bit, whether the factor is
+    /// the healthy 1.0 or comes from a loss or bandwidth fault. A link of
+    /// a few bits per second stretches wire times to 2^53 ns and past
+    /// it, where `u64 -> f64` stops being exact.
+    #[test]
+    fn nic_transmit_matches_rescaled_wire_time(
+        bits_per_sec in 1u64..8,
+        msgs in proptest::collection::vec((0u64..10_000_000, 0u64..1 << 50, 0u8..4, 0.0f64..0.5, 0.0f64..0.5), 1..20),
+    ) {
+        let spec = NicSpec {
+            bits_per_sec,
+            latency: SimDuration::from_micros(100),
+            frame_overhead: 78,
+        };
+        let gigabit = NicSpec::gigabit();
+        let mut slow = Nic::new(spec);
+        let mut fast = Nic::new(gigabit);
+        for &(bytes, now_ns, fault, loss, clamp) in &msgs {
+            let (loss, bandwidth) = match fault {
+                0 => (0.0, 1.0),
+                1 => (loss, 1.0),
+                2 => (0.0, 1.0 - clamp),
+                _ => (loss, 1.0 - clamp),
+            };
+            let now = SimTime::from_nanos(now_ns);
+            for (nic, spec) in [(&mut slow, spec), (&mut fast, gigabit)] {
+                nic.set_fault(loss, bandwidth);
+                let factor = nic.fault_factor();
+                prop_assert_eq!(factor == 1.0, loss == 0.0 && bandwidth == 1.0);
+                let start = nic.tx_busy_until().max(now);
+                let wire = spec.wire_time(bytes);
+                let done = start + wire.mul_f64(factor);
+                prop_assert_eq!(nic.transmit(now, bytes), done + spec.latency);
+                prop_assert_eq!(nic.tx_busy_until(), done);
+            }
+        }
     }
 
     /// Memory pool: used never exceeds total, free + used == total, and
@@ -111,4 +150,32 @@ proptest! {
         prop_assert_eq!(order, expect);
         prop_assert!(q.backlog_cycles().abs() < 1e-6);
     }
+}
+
+/// A healthy 1 b/s link, swept across the payloads whose wire time
+/// crosses 2^53 ns: delivery stays `start + wire_time(bytes).mul_f64(1.0)
+/// + latency` on both sides of the boundary.
+#[test]
+fn nic_healthy_transmit_is_exact_across_2_53_ns() {
+    let spec = NicSpec {
+        bits_per_sec: 1,
+        latency: SimDuration::from_micros(100),
+        frame_overhead: 78,
+    };
+    let (mut below, mut above) = (0, 0);
+    for bytes in (1_040_000u64..1_100_000).step_by(37) {
+        let mut nic = Nic::new(spec);
+        let now = SimTime::from_nanos(bytes);
+        let wire = spec.wire_time(bytes);
+        if wire.as_nanos() < 1 << 53 {
+            below += 1;
+        } else {
+            above += 1;
+        }
+        assert_eq!(
+            nic.transmit(now, bytes),
+            now + wire.mul_f64(1.0) + spec.latency
+        );
+    }
+    assert!(below > 100 && above > 100, "below {below} above {above}");
 }

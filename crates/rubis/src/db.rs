@@ -10,17 +10,15 @@
 use crate::schema::{
     generate, Bid, BuyNow, CategoryId, Comment, DbScale, Item, ItemId, RegionId, User, UserId,
 };
-use crate::storage::{page_of, Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
+use crate::storage::{
+    page_of, Access, BufferPool, PageRef, QueryCache, TableId, INDEX_PAGE_BASE, PAGE_BYTES,
+};
 use cloudchar_hw::{IoKind, IoRequest};
 use cloudchar_simcore::{IntMap, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// Items shown per search result page (RUBiS default).
 pub const ITEMS_PER_PAGE: usize = 20;
-
-/// Offset separating index pages from data pages within a table's page
-/// space.
-const INDEX_PAGE_BASE: u64 = 1 << 40;
 
 /// The structured query set issued by the RUBiS PHP scripts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -12,6 +12,16 @@ use std::collections::BTreeMap;
 /// InnoDB default page size.
 pub const PAGE_BYTES: u64 = 16 * 1024;
 
+/// Offset separating index pages from data pages within a table's page
+/// space: data pages are numbered from 0, index pages from here.
+pub const INDEX_PAGE_BASE: u64 = 1 << 40;
+
+/// Bound on a page's number within its region (data or index), past
+/// which a page number is taken for a sparse one rather than the dense
+/// numbering the buffer pool's page table assumes: 2^24 pages is a
+/// 256 GiB table, and its cells would take 64 MiB.
+const MAX_REGION_PAGES: u64 = 1 << 24;
+
 /// Identifies a table within the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TableId {
@@ -94,14 +104,26 @@ const SENTINEL: Frame = Frame {
 ///
 /// Frames live in a slot arena threaded by an intrusive circular
 /// recency list whose sentinel is slot 0 (`next` is the LRU frame,
-/// `prev` the MRU one), plus one page → slot index: every operation is
-/// O(1) and the victim is the page least recently touched, hit or miss.
-/// A newcomer takes its victim's slot, so no free list is needed.
+/// `prev` the MRU one), plus a page table from page to slot: every
+/// operation is O(1) and the victim is the page least recently touched,
+/// hit or miss. A newcomer takes its victim's slot, so no free list is
+/// needed.
+///
+/// Page numbers are dense per region: a table's data pages count up
+/// from 0 and its index pages from [`INDEX_PAGE_BASE`], each bounded by
+/// the table's size. So the page table is two plain arrays per table,
+/// one cell per page touched so far, holding its slot or 0 (the
+/// sentinel's slot) when it is not resident. An array grows when a page
+/// past its end is first touched; a page number at or past
+/// `MAX_REGION_PAGES` within its region panics.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity_pages: usize,
     frames: Vec<Frame>,
-    index: IntMap<PageRef, u32>,
+    /// Page table: `page_table[2 * table + region]`, where region 0
+    /// holds data pages and region 1 index pages.
+    page_table: [Vec<u32>; 2 * TableId::ALL.len()],
+    resident: usize,
     hits: u64,
     misses: u64,
     dirty_evictions: u64,
@@ -116,7 +138,8 @@ impl BufferPool {
         BufferPool {
             capacity_pages,
             frames,
-            index: IntMap::with_capacity_and_hasher(capacity_pages, Default::default()),
+            page_table: Default::default(),
+            resident: 0,
             hits: 0,
             misses: 0,
             dirty_evictions: 0,
@@ -130,17 +153,18 @@ impl BufferPool {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// Resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> u64 {
-        self.index.len() as u64 * PAGE_BYTES
+        self.resident as u64 * PAGE_BYTES
     }
 
     /// Access a page; `write` marks it dirty. Returns what happened.
     pub fn access(&mut self, page: PageRef, write: bool) -> Access {
-        if let Some(&slot) = self.index.get(&page) {
+        let slot = *self.cell(page);
+        if slot != 0 {
             self.hits += 1;
             self.frames[slot as usize].dirty |= write;
             self.unlink(slot);
@@ -149,14 +173,15 @@ impl BufferPool {
         }
         self.misses += 1;
         let mut access = Access::Miss;
-        let slot = if self.index.len() < self.capacity_pages {
+        let slot = if self.resident < self.capacity_pages {
+            self.resident += 1;
             self.frames.push(SENTINEL);
             self.frames.len() as u32 - 1
         } else {
             let victim = self.frames[0].next;
             self.unlink(victim);
             let evicted = self.frames[victim as usize];
-            self.index.remove(&evicted.page);
+            *self.cell(evicted.page) = 0;
             if evicted.dirty {
                 self.dirty_evictions += 1;
                 access = Access::MissDirtyEvict;
@@ -165,9 +190,28 @@ impl BufferPool {
         };
         self.frames[slot as usize].page = page;
         self.frames[slot as usize].dirty = write;
-        self.index.insert(page, slot);
+        *self.cell(page) = slot;
         self.push_mru(slot);
         access
+    }
+
+    /// `page`'s page-table cell, its array grown to reach it on first
+    /// touch.
+    fn cell(&mut self, page: PageRef) -> &mut u32 {
+        let index = page.page >= INDEX_PAGE_BASE;
+        let n = page.page - if index { INDEX_PAGE_BASE } else { 0 };
+        assert!(
+            n < MAX_REGION_PAGES,
+            "page {} of {:?} is not densely numbered",
+            page.page,
+            page.table
+        );
+        let cells = &mut self.page_table[2 * page.table as usize + usize::from(index)];
+        let n = n as usize;
+        if n >= cells.len() {
+            grow(cells, n);
+        }
+        &mut cells[n]
     }
 
     /// Hit ratio so far (0 when no accesses).
@@ -198,6 +242,12 @@ impl BufferPool {
         self.frames[mru as usize].next = slot;
         self.frames[0].prev = slot;
     }
+}
+
+/// Extend a page-table array with empty cells through index `n`.
+#[cold]
+fn grow(cells: &mut Vec<u32>, n: usize) {
+    cells.resize(n + 1, 0);
 }
 
 /// A cached SELECT result.
@@ -359,6 +409,32 @@ mod tests {
         let a = bp.access(pref(2), false); // evicts dirty 1
         assert_eq!(a, Access::MissDirtyEvict);
         assert_eq!(bp.stats().2, 1);
+    }
+
+    #[test]
+    fn dirty_evicted_page_misses_again_with_its_cell_cleared() {
+        let mut bp = BufferPool::new(PAGE_BYTES); // 1 page
+        let index = PageRef {
+            table: TableId::Bids,
+            page: INDEX_PAGE_BASE + 7,
+        };
+        bp.access(index, true); // dirty
+        assert_eq!(bp.page_table[2 * TableId::Bids as usize + 1][7], 1);
+        assert_eq!(bp.access(pref(2), false), Access::MissDirtyEvict);
+        assert_eq!(bp.page_table[2 * TableId::Bids as usize + 1][7], 0);
+        assert_eq!(bp.page_table[2 * TableId::Items as usize][2], 1);
+        // Back again: a miss, and the clean page it evicts costs no write.
+        assert_eq!(bp.access(index, false), Access::Miss);
+        assert_eq!(bp.page_table[2 * TableId::Items as usize][2], 0);
+        assert_eq!(bp.access(index, false), Access::Hit);
+        assert_eq!(bp.stats(), (1, 3, 1));
+        assert_eq!(bp.resident_pages(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not densely numbered")]
+    fn sparse_page_number_is_refused() {
+        BufferPool::new(PAGE_BYTES).access(pref(MAX_REGION_PAGES), false);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query};
 use cloudchar_rubis::schema::{DbScale, ItemId, RegionId, UserId};
-use cloudchar_rubis::storage::{Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
+use cloudchar_rubis::storage::{
+    Access, BufferPool, PageRef, QueryCache, TableId, INDEX_PAGE_BASE, PAGE_BYTES,
+};
 use cloudchar_rubis::transition::{Mix, NextAction, TransitionTable};
 use cloudchar_rubis::ClientPopulation;
 use cloudchar_rubis::WorkloadMix;
@@ -83,24 +85,28 @@ impl ReferenceLru {
     }
 }
 
-/// Index pages sit at `1 << 40` within a table's page space.
-const INDEX_PAGE_BASE: u64 = 1 << 40;
-
 proptest! {
     /// The O(1) pool evicts exactly as the reference LRU does: the same
-    /// outcome on every access, the same counters and residency.
+    /// outcome on every access, the same counters and residency. Pages
+    /// come from all seven tables: data pages hot below 32 or sparse up
+    /// to 4,000, so the page table grows mid-run, and index pages across
+    /// `INDEX_PAGE_BASE..=INDEX_PAGE_BASE + 512`, the range a B-tree
+    /// descent touches.
     #[test]
     fn buffer_pool_matches_reference_lru(
-        accesses in proptest::collection::vec((0usize..3, any::<bool>(), 0u64..24, any::<bool>()), 1..600),
-        cap_pages in 1u64..17,
+        accesses in proptest::collection::vec((0usize..7, 0u8..3, 0u64..4_000, any::<bool>()), 1..600),
+        cap_pages in 1u64..65,
     ) {
         let mut bp = BufferPool::new(cap_pages * PAGE_BYTES);
         let mut reference = ReferenceLru::new(cap_pages as usize);
-        let tables = [TableId::Items, TableId::Users, TableId::Bids];
-        for &(t, index, page, write) in &accesses {
+        for &(t, kind, page, write) in &accesses {
             let page = PageRef {
-                table: tables[t],
-                page: if index { INDEX_PAGE_BASE + page } else { page },
+                table: TableId::ALL[t],
+                page: match kind {
+                    0 => page % 32,
+                    1 => page,
+                    _ => INDEX_PAGE_BASE + page % 513,
+                },
             };
             prop_assert_eq!(bp.access(page, write), reference.access(page, write));
             prop_assert_eq!(bp.stats(), reference.stats);

@@ -18,7 +18,13 @@
 //!   so the next event pops from the tail in `O(1)`. Bottom is built
 //!   from one bucket at a time and is therefore small; late inserts
 //!   below its time bound (`bottom_end`) join it at the tail when they
-//!   precede every entry there, by binary search otherwise.
+//!   precede every entry there, and otherwise at the place found by
+//!   scanning back from the tail. The scan compares once per entry that
+//!   `Vec::insert` then shifts, so it costs no more than the shift the
+//!   insert pays anyway, even in a bottom filled at the `MAX_RUNGS`
+//!   backstop; in the simulator most such inserts land a few entries
+//!   from the tail, where a bisection would still pay its full
+//!   `log2(len)` compares.
 //! * **rungs** — a stack of bucket arrays whose spans tile
 //!   `[bottom_end, ladder end)` contiguously, finest (innermost) rung
 //!   last. An insert walks inner→outer to the first rung covering its
@@ -172,8 +178,11 @@ impl<V> CalendarQueue<V> {
             if self.bottom.last().map_or(true, |tail| key < tail.key()) {
                 self.bottom.push(item);
             } else {
-                let pos = self.bottom.partition_point(|it| it.key() > key);
-                self.bottom.insert(pos, item);
+                // Scan back from the tail to the last larger key. Keys are
+                // unique, so this stops where a bisection would, and it
+                // compares once per entry `insert` then moves anyway.
+                let pos = self.bottom.iter().rposition(|it| it.key() > key);
+                self.bottom.insert(pos.map_or(0, |i| i + 1), item);
             }
             return;
         }
@@ -463,6 +472,35 @@ mod tests {
         assert_eq!(q.pop().map(|(t, s, _)| (t, s)), Some((5, late_five)));
         assert_eq!(q.pop().map(|(t, s, _)| (t, s)), Some((9, seq - 1)));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn nested_cluster_sorts_into_bottom_at_the_rung_cap() {
+        // The construction `tests/prop_queue.rs` drives at the backstop:
+        // 100 events at 0 plus one at every power of two up to 2^62.
+        // Each split keeps the zeros and all but the largest power in its
+        // first bucket, so only the `MAX_RUNGS` cap stops the splitting.
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        for t in std::iter::repeat(0)
+            .take(100)
+            .chain((0..=62).map(|k| 1u64 << k))
+        {
+            q.push(t, seq, 0);
+            seq += 1;
+        }
+        assert_eq!(q.peek(), Some((0, 0)));
+        assert_eq!(q.rungs.len(), MAX_RUNGS);
+        assert_eq!(q.bottom.len(), 100 + 23); // zeros plus 2^0..=2^22
+        assert!(q.bottom.len() > SORT_THRESHOLD);
+        // A push between two queued keys lands in that large bottom.
+        q.push(3, seq, 0);
+        assert_eq!(q.bottom.len(), 124);
+        let keys = drain(&mut q);
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 164);
     }
 
     #[test]

@@ -23,6 +23,36 @@ impl HeapQueue {
     }
 }
 
+/// Pop both queues to empty, asserting the same sequence.
+fn drain_both(cal: &mut CalendarQueue<u32>, heap: &mut HeapQueue) {
+    loop {
+        let a = cal.pop();
+        prop_assert_eq!(a, heap.pop());
+        if a.is_none() {
+            return;
+        }
+    }
+}
+
+/// Push one key into both queues.
+fn push_both(cal: &mut CalendarQueue<u32>, heap: &mut HeapQueue, time: u64, seq: &mut u64) {
+    cal.push(time, *seq, *seq as u32);
+    heap.push(time, *seq, *seq as u32);
+    *seq += 1;
+}
+
+/// Times of the `MAX_RUNGS` backstop construction: `zeros` events at 0
+/// plus one at every power of two up to 2^62. Each rung then has two
+/// buckets, and its first bucket holds all the zeros plus every power
+/// below its width, so every drained bucket exceeds the sort threshold
+/// and splits again, one rung deeper, until the 40-rung cap sorts it,
+/// well over the threshold, into bottom.
+fn backstop_times(zeros: usize) -> Vec<u64> {
+    let mut times = vec![0u64; zeros];
+    times.extend((0..=62).map(|k| 1u64 << k));
+    times
+}
+
 proptest! {
     /// Bulk load then full drain: identical order for arbitrary times,
     /// with heavy collisions forced by the small time range.
@@ -169,5 +199,65 @@ proptest! {
             prop_assert_eq!((t, s), (pt, ps));
         }
         prop_assert!(heap.pop().is_none());
+    }
+
+    /// Pushes below `bottom_end` land in bottom at every reachable
+    /// distance from its tail. The first pop sorts a bucket of up to 64
+    /// clustered events into bottom (the outlier far past the cluster
+    /// gives the first rung a bucket width of ~500k), and late pushes
+    /// below the bucket's end grow it to ~70. Then one probe time after
+    /// another, each of 0..=40, is pushed twice: the first copy sorts
+    /// behind every queued event of its time (FIFO by `seq`), the
+    /// second behind the first. Order must match the heap throughout.
+    #[test]
+    fn bottom_inserts_at_every_distance_match_heap(
+        cluster in proptest::collection::vec(0u64..40, 2..65),
+        late in proptest::collection::vec(0u64..40, 0..9),
+    ) {
+        for probe in 0..=40u64 {
+            let mut cal = CalendarQueue::new();
+            let mut heap = HeapQueue::default();
+            let mut seq = 0u64;
+            for &t in &cluster {
+                push_both(&mut cal, &mut heap, t, &mut seq);
+            }
+            push_both(&mut cal, &mut heap, 1_000_000, &mut seq);
+            prop_assert_eq!(cal.pop(), heap.pop());
+            for &t in &late {
+                push_both(&mut cal, &mut heap, t, &mut seq);
+            }
+            push_both(&mut cal, &mut heap, probe, &mut seq);
+            push_both(&mut cal, &mut heap, probe, &mut seq);
+            drain_both(&mut cal, &mut heap);
+        }
+    }
+
+    /// Pushes into a bottom filled at the `MAX_RUNGS` backstop, where it
+    /// holds far more than the sort threshold: after the first pop sorts
+    /// it there, every push lands below `bottom_end`, at a drawn time
+    /// among the queued ones, between pops. Fewer than 129 zeros keep
+    /// every rung of the construction at two buckets.
+    #[test]
+    fn backstop_bottom_inserts_match_heap(
+        zeros in 65usize..129,
+        ops in proptest::collection::vec((0u32..40, 0u8..3), 1..200),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::default();
+        let mut seq = 0u64;
+        for t in backstop_times(zeros) {
+            push_both(&mut cal, &mut heap, t, &mut seq);
+        }
+        prop_assert_eq!(cal.pop(), heap.pop());
+        for &(k, op) in &ops {
+            if op == 0 {
+                prop_assert_eq!(cal.pop(), heap.pop());
+            } else {
+                // 0, or a power of two the backstop bucket holds.
+                let t = if op == 1 { 0 } else { 1u64 << (k % 20) };
+                push_both(&mut cal, &mut heap, t, &mut seq);
+            }
+        }
+        drain_both(&mut cal, &mut heap);
     }
 }
