@@ -34,6 +34,24 @@ trace_dir=$(mktemp -d)
 cargo run --release -p cloudchar-bench --bin repro -- --audit --fast --trace-out "$trace_dir" run > /dev/null
 rm -rf "$trace_dir"
 
+echo "==> repro fig1-8 + characterize --full: resident and out-of-core output identical"
+# Run in a scratch directory so the repo's results/ is left alone.
+ooc_dir=$(mktemp -d)
+root=$(pwd)
+repro_ooc() {
+    (cd "$ooc_dir/$1" && shift && cargo run -q --release --manifest-path "$root/Cargo.toml" \
+        -p cloudchar-bench --bin repro -- --fast "$@" \
+        fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 characterize --full > stdout.txt)
+}
+mkdir "$ooc_dir/resident" "$ooc_dir/traced"
+repro_ooc resident
+repro_ooc traced --trace-out "$ooc_dir/traces"
+for csv in "$ooc_dir"/resident/results/fig*.csv; do
+    cmp "$csv" "$ooc_dir/traced/results/$(basename "$csv")"
+done
+diff "$ooc_dir/resident/stdout.txt" "$ooc_dir/traced/stdout.txt"
+rm -rf "$ooc_dir"
+
 echo "==> repro audit of the fleet pod pipeline under db-crash (exits 1 on any invariant violation)"
 cargo run --release -p cloudchar-bench --bin repro -- --audit fleet --hosts 13 --jobs 2 --faults db-crash > /dev/null
 

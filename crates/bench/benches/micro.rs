@@ -1,4 +1,9 @@
 //! Microbenchmarks for the hot paths of each substrate crate.
+//!
+//! Each bench runs in a group whose sample size is sized to its cost,
+//! so one timed pass takes tens of milliseconds: the shim times a
+//! single pass after one warm-up call, and a pass of a few hundred
+//! nanoseconds would be dominated by first-call effects.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -16,7 +21,9 @@ fn count_event(_: &mut Engine<u64>, count: &mut u64, _: u64) {
 
 /// Raw event-queue throughput: schedule + drain.
 fn bench_engine(c: &mut Criterion) {
-    c.bench_function("engine_10k_events", |b| {
+    let mut group = c.benchmark_group("engine");
+    group.sample_size(50);
+    group.bench_function("10k_events", |b| {
         b.iter(|| {
             let mut engine: Engine<u64> = Engine::new();
             let mut world = 0u64;
@@ -27,11 +34,14 @@ fn bench_engine(c: &mut Criterion) {
             black_box(world)
         })
     });
+    group.finish();
 }
 
 /// Credit scheduler allocation with contention.
 fn bench_scheduler(c: &mut Criterion) {
-    c.bench_function("credit_sched_allocate", |b| {
+    let mut group = c.benchmark_group("credit_sched");
+    group.sample_size(500_000);
+    group.bench_function("allocate", |b| {
         let mut sched = CreditScheduler::new(8);
         for i in 0..4 {
             sched.add_domain(
@@ -55,6 +65,7 @@ fn bench_scheduler(c: &mut Criterion) {
             black_box(out.len())
         })
     });
+    group.finish();
 }
 
 /// Buffer-pool access with a hot/cold mix.
@@ -97,7 +108,9 @@ fn bench_db_query(c: &mut Criterion) {
     let mut server = MySqlServer::new(db, MySqlConfig::default());
     server.prewarm(0.8);
     let mut i = 0u32;
-    c.bench_function("mysql_get_item", |b| {
+    let mut group = c.benchmark_group("mysql");
+    group.sample_size(2_000_000);
+    group.bench_function("get_item", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
             let work = server.execute(
@@ -109,6 +122,7 @@ fn bench_db_query(c: &mut Criterion) {
             black_box((work.cpu_cycles, work.ios.len()))
         })
     });
+    group.finish();
 }
 
 /// Markov transition sampling.
@@ -116,7 +130,9 @@ fn bench_transition(c: &mut Criterion) {
     let table = TransitionTable::bidding();
     let mut rng = SimRng::new(5);
     let mut state = TransitionTable::entry();
-    c.bench_function("transition_next", |b| {
+    let mut group = c.benchmark_group("transition");
+    group.sample_size(5_000_000);
+    group.bench_function("next", |b| {
         b.iter(|| {
             if let cloudchar_rubis::NextAction::Goto(next) = table.next(state, &mut rng) {
                 state = next;
@@ -124,6 +140,7 @@ fn bench_transition(c: &mut Criterion) {
             black_box(state)
         })
     });
+    group.finish();
 }
 
 /// Full 518-metric synthesis for one host sample.
@@ -150,7 +167,9 @@ fn bench_metric_synthesis(c: &mut Criterion) {
         core_hz: 2.8e9,
         ..Default::default()
     };
-    c.bench_function("synthesize_518_metrics", |b| {
+    let mut group = c.benchmark_group("synthesize");
+    group.sample_size(30_000);
+    group.bench_function("518_metrics", |b| {
         b.iter(|| {
             let s =
                 cloudchar_monitor::synthesize_sysstat(&raw, cloudchar_monitor::Source::VmSysstat);
@@ -158,6 +177,7 @@ fn bench_metric_synthesis(c: &mut Criterion) {
             black_box((s.len(), p.len()))
         })
     });
+    group.finish();
 }
 
 /// Distribution sampling throughput.
@@ -165,12 +185,13 @@ fn bench_distributions(c: &mut Criterion) {
     let mut rng = SimRng::new(7);
     let exp = Dist::exp(7.0);
     let erl = Dist::Erlang { k: 3, mean: 1e6 };
-    c.bench_function("dist_exponential", |b| {
+    let mut group = c.benchmark_group("dist");
+    group.sample_size(2_000_000);
+    group.bench_function("exponential", |b| {
         b.iter(|| black_box(exp.sample(&mut rng)))
     });
-    c.bench_function("dist_erlang3", |b| {
-        b.iter(|| black_box(erl.sample(&mut rng)))
-    });
+    group.bench_function("erlang3", |b| b.iter(|| black_box(erl.sample(&mut rng))));
+    group.finish();
 }
 
 /// Simulated-seconds-per-wall-second for the full stack (headline

@@ -14,7 +14,7 @@
 //!   chunk), regardless of run length;
 //! * **analysis wall** — `full_characterize` over a resident store vs
 //!   `full_characterize_trace` over the on-disk file for the same fast
-//!   run, after asserting the two characterizations are identical.
+//!   run: one characterize loop over two series sources.
 //!
 //! Run `cargo bench -p cloudchar-bench --bench trace` for the criterion
 //! groups, `-- --record` to print the `results/BENCH_trace.json`
@@ -24,8 +24,8 @@
 
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
-    full_characterize, full_characterize_trace, run, run_opts, write_csv_streaming, Deployment,
-    ExperimentConfig, ExperimentResult, ResourceCursor, RunOptions, TraceDir,
+    fold_series, full_characterize, full_characterize_trace, resource_series, run, run_opts,
+    Deployment, ExperimentConfig, RunOptions, SeriesSource, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
@@ -79,8 +79,8 @@ fn synth_store(hosts: usize, samples: usize) -> SeriesStore {
 }
 
 /// FNV fold over every sampled value of a resident store, in the
-/// store's own (host, metric) iteration order — the in-memory twin of
-/// `TraceDir::fold_values`.
+/// store's own (host, metric) iteration order — an oracle for
+/// `fold_series` written straight over `SeriesStore::iter`.
 fn fold_store(store: &SeriesStore) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for (_, _, series) in store.iter() {
@@ -107,11 +107,7 @@ fn codec_pass(store: &SeriesStore, path: &Path) -> (u64, u128, u128) {
     let encode_ns = t.elapsed().as_nanos();
     let t = Instant::now();
     let trace = TraceDir::open(path).expect("open trace");
-    black_box(
-        trace
-            .fold_values(0xcbf2_9ce4_8422_2325)
-            .expect("decode trace"),
-    );
+    black_box(fold_series(&trace, 0xcbf2_9ce4_8422_2325).expect("decode trace"));
     let decode_ns = t.elapsed().as_nanos();
     (file_bytes, encode_ns, decode_ns)
 }
@@ -149,7 +145,7 @@ fn fast_pair(mix: WorkloadMix) -> ExperimentConfig {
 }
 
 /// Run `cfg` with its samples streamed to the trace file `path`.
-fn traced_run(cfg: ExperimentConfig, path: &Path) -> ExperimentResult {
+fn traced_run(cfg: ExperimentConfig, path: &Path) -> cloudchar_core::ExperimentResult {
     let opts = RunOptions {
         trace_out: Some(path.to_path_buf()),
         ..RunOptions::default()
@@ -157,18 +153,11 @@ fn traced_run(cfg: ExperimentConfig, path: &Path) -> ExperimentResult {
     run_opts(cfg, &opts).expect("traced run").0
 }
 
-/// In-memory fig CSV bytes, formatted exactly as the repro binary's
-/// exporter (and `write_csv_streaming`) formats them.
-fn csv_in_memory(
-    browse: &ExperimentResult,
-    bid: &ExperimentResult,
-    res: Resource,
-    host: &str,
-) -> String {
-    let (b, q) = (
-        browse.resource_series(res, host),
-        bid.resource_series(res, host),
-    );
+/// Fig CSV bytes of one panel, formatted as the repro binary's
+/// exporter formats them, from two series sources.
+fn fig_csv(browse: &dyn SeriesSource, bid: &dyn SeriesSource, res: Resource, host: &str) -> String {
+    let b = resource_series(browse, res, host).expect("browse series");
+    let q = resource_series(bid, res, host).expect("bid series");
     let mut out = String::from("t_s,browse,bid\n");
     let n = b.len().max(q.len());
     for i in 0..n {
@@ -194,7 +183,7 @@ fn bench_codec(c: &mut Criterion) {
     group.bench_function("decode_3x1024", |b| {
         b.iter(|| {
             let trace = TraceDir::open(&path).expect("open trace");
-            black_box(trace.fold_values(0xcbf2_9ce4_8422_2325).expect("decode"))
+            black_box(fold_series(&trace, 0xcbf2_9ce4_8422_2325).expect("decode"))
         })
     });
     group.finish();
@@ -206,7 +195,7 @@ fn record() {
     println!("{{");
     println!("  \"cores\": {cores},");
     println!(
-        "  \"note\": \"synthetic catalog mixes constant/stepping/quantized/noisy series in equal parts; real monitor output compresses better (more idle counters). resident_bytes is the writer's open-chunk working set — the streaming figure/fingerprint paths hold one chunk per open cursor, while full_characterize_trace holds ONE whole series per worker (FFT and order statistics need the full series), so its bound is O(longest series), not O(chunk).\","
+        "  \"note\": \"synthetic catalog mixes constant/stepping/quantized/noisy series in equal parts; real monitor output compresses better (more idle counters). resident_bytes is the writer's open-chunk working set. Readers decode one chunk at a time into their consumer's buffer: the fingerprint fold holds one chunk, a figure holds one derived series per column, and full_characterize_trace holds one whole series per worker (FFT and order statistics need the full series), so the read-side bound is O(longest series), not O(chunk).\","
     );
 
     // Codec: 13-host and 100-host synthetic catalogs, 1024 samples each.
@@ -277,9 +266,7 @@ fn smoke() {
         "synthetic catalog must compress >=4x, got {ratio:.2}x"
     );
     let trace = TraceDir::open(&path).expect("open trace");
-    let streamed = trace
-        .fold_values(0xcbf2_9ce4_8422_2325)
-        .expect("fold trace");
+    let streamed = fold_series(&trace, 0xcbf2_9ce4_8422_2325).expect("fold trace");
     let resident = fold_store(&store);
     assert_eq!(
         streamed, resident,
@@ -293,8 +280,8 @@ fn smoke() {
     );
     println!("trace smoke: round-trip fingerprint {streamed:#018x} matches resident store");
 
-    // Gate 2: fig CSVs streamed off disk are byte-equal to the
-    // in-memory exporter's on the same fast-config pair of runs.
+    // Gate 2: fig CSVs read off disk are byte-equal to the resident
+    // results' on the same fast-config pair of runs.
     let browse = run(fast_pair(WorkloadMix::BROWSING));
     let bid = run(fast_pair(WorkloadMix::BIDDING));
     let browse_path = tmp("virt_browse.cctr");
@@ -304,20 +291,12 @@ fn smoke() {
     let browse_trace = TraceDir::open(&browse_path).expect("open browse trace");
     let bid_trace = TraceDir::open(&bid_path).expect("open bid trace");
     let mut checked = 0;
-    for res in [Resource::Cpu, Resource::Ram, Resource::Disk, Resource::Net] {
+    for res in Resource::ALL {
         for host in ["web-vm", "mysql-vm", "dom0"] {
-            let want = csv_in_memory(&browse, &bid, res, host);
-            let out = tmp("fig_stream.csv");
-            let mut cols = [
-                ResourceCursor::new(&browse_trace, res, host, 2.0).expect("open browse cursor"),
-                ResourceCursor::new(&bid_trace, res, host, 2.0).expect("open bid cursor"),
-            ];
-            write_csv_streaming(&out, "t_s,browse,bid", &mut cols, 2.0).expect("stream csv");
-            let got = std::fs::read(&out).expect("read streamed csv");
             assert_eq!(
-                got,
-                want.into_bytes(),
-                "{res:?}/{host}: streamed fig CSV diverged from the in-memory exporter"
+                fig_csv(&browse_trace, &bid_trace, res, host),
+                fig_csv(&browse, &bid, res, host),
+                "{res:?}/{host}: out-of-core fig CSV diverged from the resident one"
             );
             checked += 1;
         }

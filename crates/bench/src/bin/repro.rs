@@ -65,8 +65,11 @@
 //!
 //! `--trace-out <dir>` runs each experiment with the streaming chunk
 //! writer: samples go straight to compressed `.cctr` files under
-//! `<dir>` and figures/characterization stream back off disk with
-//! bounded memory, byte-identical to the in-memory path.
+//! `<dir>`, and figures and characterization read them back through
+//! the same series source a resident run uses, holding one series per
+//! worker or figure column. Stdout and fig CSVs are byte-identical to
+//! the resident run's (`characterize` off a trace is always the full
+//! catalog, and only its stderr timing line says `(out-of-core)`).
 //! `--trace-in <dir>` skips the runs entirely and re-analyzes traces
 //! written by an earlier `--trace-out`. With `fleet`, `--trace-out`
 //! streams one `podNN.cctr` per pod and the printed fingerprint is
@@ -79,10 +82,10 @@
 
 use cloudchar_analysis::{summarize, Resource};
 use cloudchar_core::{
-    default_jobs, full_characterize_trace, paper_values, q1_tier_lag, q2_ram_jumps, q3_disk_cv,
-    ratio_report, run, run_fleet_opts, run_opts, run_seeds_jobs, scenario, scenario_report,
-    write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
-    ResourceCursor, RunOptions, TraceDir, SCENARIOS,
+    default_jobs, fold_series, full_characterize_source, paper_values, q1_tier_lag, q2_ram_jumps,
+    q3_disk_cv, ratio_report, resource_series, run, run_fleet_opts, run_opts, run_seeds_jobs,
+    scenario, scenario_report, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
+    RunOptions, SeriesSource, TraceDir, SCENARIOS,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
@@ -109,8 +112,8 @@ struct Lab {
     /// `--trace-in <dir>`: skip the runs and analyze traces written by
     /// an earlier `--trace-out` invocation.
     trace_in: Option<String>,
-    /// Keys already traced this invocation (under `--trace-out`).
-    traced: Vec<Key>,
+    /// Traces opened this invocation (under `--trace-out`/`--trace-in`).
+    traces: HashMap<Key, TraceDir>,
     cache: HashMap<Key, ExperimentResult>,
 }
 
@@ -167,16 +170,37 @@ impl Lab {
         &self.cache[&key]
     }
 
-    /// Out-of-core mode: figures and characterization stream from
-    /// on-disk chunk traces instead of resident stores.
+    /// Out-of-core mode: figures and characterization read on-disk
+    /// chunk traces instead of resident stores.
     fn trace_mode(&self) -> bool {
         self.trace_in.is_some() || self.trace_out.is_some()
     }
 
-    /// On-disk trace file for `key`: reuse an existing one under
-    /// `--trace-in`, or run the experiment now with the streaming chunk
-    /// writer under `--trace-out`. `None` when neither flag is set.
-    fn trace(&mut self, key: Key) -> Option<String> {
+    /// The sampled series of each key's run: the resident results, or
+    /// in trace mode the on-disk traces. Runs (or opens) what is missing
+    /// first, so every source can be borrowed at once.
+    fn sources<const N: usize>(&mut self, keys: [Key; N]) -> [&dyn SeriesSource; N] {
+        for key in keys {
+            if !self.trace_mode() {
+                self.get(key);
+            } else if !self.traces.contains_key(&key) {
+                let path = self.trace(key);
+                let trace = must(TraceDir::open(Path::new(&path)), "open trace");
+                self.traces.insert(key, trace);
+            }
+        }
+        keys.map(|key| -> &dyn SeriesSource {
+            match self.traces.get(&key) {
+                Some(trace) => trace,
+                None => &self.cache[&key],
+            }
+        })
+    }
+
+    /// On-disk trace file for `key`: an existing one under `--trace-in`,
+    /// or under `--trace-out` one written now by running the experiment
+    /// with the streaming chunk writer.
+    fn trace(&self, key: Key) -> String {
         let name = match key {
             Key::VirtBrowse => "virt_browse",
             Key::VirtBid => "virt_bid",
@@ -191,33 +215,30 @@ impl Lab {
                 );
                 std::process::exit(2);
             }
-            return Some(path);
+            return path;
         }
-        let dir = self.trace_out.clone()?;
+        let dir = self.trace_out.as_deref().expect("trace mode");
         let path = format!("{dir}/{name}.cctr");
-        if !self.traced.contains(&key) {
-            let cfg = self.config(key);
-            must(std::fs::create_dir_all(&dir), "create trace dir");
-            eprintln!(
-                "[repro] running {name} with streaming trace → {path}: {} clients × {:.0}s …",
-                cfg.clients,
-                cfg.duration.as_secs_f64()
-            );
-            let t0 = std::time::Instant::now();
-            let opts = RunOptions {
-                trace_out: Some(path.clone().into()),
-                ..RunOptions::default()
-            };
-            let (result, _) = must(run_opts(cfg, &opts), "write trace");
-            eprintln!(
-                "[repro]   done in {:.1}s ({} requests, {} events)",
-                t0.elapsed().as_secs_f64(),
-                result.completed,
-                result.events
-            );
-            self.traced.push(key);
-        }
-        Some(path)
+        let cfg = self.config(key);
+        must(std::fs::create_dir_all(dir), "create trace dir");
+        eprintln!(
+            "[repro] running {name} with streaming trace → {path}: {} clients × {:.0}s …",
+            cfg.clients,
+            cfg.duration.as_secs_f64()
+        );
+        let t0 = std::time::Instant::now();
+        let opts = RunOptions {
+            trace_out: Some(path.clone().into()),
+            ..RunOptions::default()
+        };
+        let (result, _) = must(run_opts(cfg, &opts), "write trace");
+        eprintln!(
+            "[repro]   done in {:.1}s ({} requests, {} events)",
+            t0.elapsed().as_secs_f64(),
+            result.completed,
+            result.events
+        );
+        path
     }
 }
 
@@ -245,78 +266,6 @@ fn write_csv(path: &str, header: &str, cols: &[&[f64]], dt_s: f64) {
         writeln!(f, "{row}").unwrap();
     }
     eprintln!("[repro]   wrote {path}");
-}
-
-/// Streaming counterpart of `series_stats`: one pass over the derived
-/// chunks, never materializing the series.
-fn series_stats_streaming(
-    label: &str,
-    trace: &TraceDir,
-    resource: Resource,
-    host: &str,
-    dt: f64,
-) -> String {
-    let mut cur = must(ResourceCursor::new(trace, resource, host, dt), "open trace");
-    let (mut n, mut sum, mut sumsq) = (0u64, 0.0f64, 0.0f64);
-    let mut max = f64::NEG_INFINITY;
-    while let Some(v) = must(cur.next_value(), "decode trace chunk") {
-        n += 1;
-        sum += v;
-        sumsq += v * v;
-        max = max.max(v);
-    }
-    if n == 0 {
-        return format!("{label}: (empty)");
-    }
-    let mean = sum / n as f64;
-    let var = (sumsq / n as f64 - mean * mean).max(0.0);
-    let cv = if mean != 0.0 { var.sqrt() / mean } else { 0.0 };
-    format!("{label:<26} mean {mean:>12.4e}  max {max:>12.4e}  cv {cv:>5.2}")
-}
-
-/// Render one figure's panels straight off the on-disk traces: stats
-/// and CSV rows stream one decoded chunk at a time per column.
-fn figure_traced(
-    lab: &mut Lab,
-    fig: u8,
-    resource: Resource,
-    hosts: &[&str],
-    panels: &[&str],
-    keys: (Key, Key),
-) {
-    let dt = 2.0;
-    let bp = lab.trace(keys.0).expect("trace mode");
-    let qp = lab.trace(keys.1).expect("trace mode");
-    let browse = must(TraceDir::open(Path::new(&bp)), "open browse trace");
-    let bid = must(TraceDir::open(Path::new(&qp)), "open bid trace");
-    std::fs::create_dir_all("results").expect("create results dir");
-    for (i, panel) in panels.iter().enumerate() {
-        let host = hosts[i];
-        let label = format!("{panel} browse");
-        println!(
-            "  {}",
-            series_stats_streaming(&label, &browse, resource, host, dt)
-        );
-        let label = format!("{panel} bid");
-        println!(
-            "  {}",
-            series_stats_streaming(&label, &bid, resource, host, dt)
-        );
-        let path = format!("results/fig{fig}_{host}.csv");
-        let mut cols = [
-            must(
-                ResourceCursor::new(&browse, resource, host, dt),
-                "open trace",
-            ),
-            must(ResourceCursor::new(&bid, resource, host, dt), "open trace"),
-        ];
-        must(
-            write_csv_streaming(Path::new(&path), "t_s,browse,bid", &mut cols, dt),
-            "stream csv",
-        );
-        eprintln!("[repro]   wrote {path}");
-    }
-    println!();
 }
 
 fn series_stats(label: &str, xs: &[f64]) -> String {
@@ -498,103 +447,46 @@ fn table1() {
     println!();
 }
 
-/// One virtualized figure (1–4): three panels × two mixes.
-fn virt_figure(lab: &mut Lab, fig: u8) {
+/// One resource figure: fig1–4 show the virtualized deployment (three
+/// panels), fig5–8 the non-virtualized one (two panels), each panel
+/// browse vs bid.
+fn figure(lab: &mut Lab, fig: u8) {
     let (resource, unit) = match fig {
-        1 => (Resource::Cpu, "cycles/2s"),
-        2 => (Resource::Ram, "MB"),
-        3 => (Resource::Disk, "KB/2s"),
-        4 => (Resource::Net, "KB/2s"),
+        1 | 5 => (Resource::Cpu, "cycles/2s"),
+        2 | 6 => (Resource::Ram, "MB"),
+        3 | 7 => (Resource::Disk, "KB/2s"),
+        4 | 8 => (Resource::Net, "KB/2s"),
         _ => unreachable!(),
     };
-    println!("== Figure {fig}: {resource:?} ({unit}) — virtualized, browse vs bid ==");
-    let hosts = ["web-vm", "mysql-vm", "dom0"];
-    let panels = ["Web+App. (VM)", "Mysql (VM)", "Domain0"];
-    if lab.trace_mode() {
-        figure_traced(
-            lab,
-            fig,
-            resource,
-            &hosts,
-            &panels,
-            (Key::VirtBrowse, Key::VirtBid),
-        );
-        return;
-    }
-    let dt = 2.0;
-    let browse: Vec<Vec<f64>> = {
-        let r = lab.get(Key::VirtBrowse);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
+    let (view, keys, panels): (_, _, &[(&str, &str)]) = if fig <= 4 {
+        (
+            "virtualized",
+            [Key::VirtBrowse, Key::VirtBid],
+            &[
+                ("web-vm", "Web+App. (VM)"),
+                ("mysql-vm", "Mysql (VM)"),
+                ("dom0", "Domain0"),
+            ],
+        )
+    } else {
+        (
+            "non-virtualized",
+            [Key::PhysBrowse, Key::PhysBid],
+            &[("web-pm", "Web+App. (PM)"), ("mysql-pm", "Mysql (PM)")],
+        )
     };
-    let bid: Vec<Vec<f64>> = {
-        let r = lab.get(Key::VirtBid);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    for (i, panel) in panels.iter().enumerate() {
-        println!("  {}", series_stats(&format!("{panel} browse"), &browse[i]));
-        println!("  {}", series_stats(&format!("{panel} bid"), &bid[i]));
+    println!("== Figure {fig}: {resource:?} ({unit}) — {view}, browse vs bid ==");
+    let [browse, bid] = lab.sources(keys);
+    for &(host, panel) in panels {
+        let b = must(resource_series(browse, resource, host), "read trace");
+        let q = must(resource_series(bid, resource, host), "read trace");
+        println!("  {}", series_stats(&format!("{panel} browse"), &b));
+        println!("  {}", series_stats(&format!("{panel} bid"), &q));
         write_csv(
-            &format!("results/fig{fig}_{}.csv", hosts[i]),
+            &format!("results/fig{fig}_{host}.csv"),
             "t_s,browse,bid",
-            &[&browse[i], &bid[i]],
-            dt,
-        );
-    }
-    println!();
-}
-
-/// One non-virtualized figure (5–8): two panels × two mixes.
-fn phys_figure(lab: &mut Lab, fig: u8) {
-    let (resource, unit) = match fig {
-        5 => (Resource::Cpu, "cycles/2s"),
-        6 => (Resource::Ram, "MB"),
-        7 => (Resource::Disk, "KB/2s"),
-        8 => (Resource::Net, "KB/2s"),
-        _ => unreachable!(),
-    };
-    println!("== Figure {fig}: {resource:?} ({unit}) — non-virtualized, browse vs bid ==");
-    let hosts = ["web-pm", "mysql-pm"];
-    let panels = ["Web+App. (PM)", "Mysql (PM)"];
-    if lab.trace_mode() {
-        figure_traced(
-            lab,
-            fig,
-            resource,
-            &hosts,
-            &panels,
-            (Key::PhysBrowse, Key::PhysBid),
-        );
-        return;
-    }
-    let dt = 2.0;
-    let browse: Vec<Vec<f64>> = {
-        let r = lab.get(Key::PhysBrowse);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    let bid: Vec<Vec<f64>> = {
-        let r = lab.get(Key::PhysBid);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    for (i, panel) in panels.iter().enumerate() {
-        println!("  {}", series_stats(&format!("{panel} browse"), &browse[i]));
-        println!("  {}", series_stats(&format!("{panel} bid"), &bid[i]));
-        write_csv(
-            &format!("results/fig{fig}_{}.csv", hosts[i]),
-            "t_s,browse,bid",
-            &[&browse[i], &bid[i]],
-            dt,
+            &[&b, &q],
+            2.0,
         );
     }
     println!();
@@ -856,51 +748,36 @@ fn report_cmd(lab: &mut Lab) {
 }
 
 fn characterize_cmd(lab: &mut Lab, full: bool, jobs: usize) {
-    if lab.trace_mode() {
-        // Trace-backed characterization implies the full catalog: the
-        // on-disk store holds every raw series, and the streaming path
-        // profiles each one with a single series resident per worker.
-        println!("== Workload characterization: full metric catalog (out-of-core) ==");
-        for (key, label) in [
-            (Key::VirtBrowse, "virtualized/browsing"),
-            (Key::VirtBid, "virtualized/bidding"),
-        ] {
-            let path = lab.trace(key).expect("trace mode");
-            let trace = must(TraceDir::open(Path::new(&path)), "open trace");
-            println!("--- {label} ---");
-            let t0 = std::time::Instant::now();
-            let fc = must(full_characterize_trace(&trace, jobs), "characterize trace");
-            eprintln!(
-                "[repro]   profiled {} series out of core on {jobs} worker(s) in {:.2}s",
-                fc.profiles.len(),
-                t0.elapsed().as_secs_f64()
-            );
-            println!("{fc}");
-        }
-        return;
-    }
+    // A trace holds only the raw series (no transactions), so trace mode
+    // profiles the full catalog.
+    let full = full || lab.trace_mode();
     if full {
         println!("== Workload characterization: full metric catalog ==");
     } else {
         println!("== Workload characterization (resource + transaction level) ==");
     }
+    let place = if lab.trace_mode() {
+        " (out-of-core)"
+    } else {
+        ""
+    };
     for (key, label) in [
         (Key::VirtBrowse, "virtualized/browsing"),
         (Key::VirtBid, "virtualized/bidding"),
     ] {
-        let r = lab.get(key).clone();
+        let [src] = lab.sources([key]);
         println!("--- {label} ---");
         if full {
             let t0 = std::time::Instant::now();
-            let fc = cloudchar_core::full_characterize(&r, jobs);
+            let fc = must(full_characterize_source(src, jobs), "characterize");
             eprintln!(
-                "[repro]   profiled {} series on {jobs} worker(s) in {:.2}s",
+                "[repro]   profiled {} series on {jobs} worker(s) in {:.2}s{place}",
                 fc.profiles.len(),
                 t0.elapsed().as_secs_f64()
             );
             println!("{fc}");
         } else {
-            println!("{}", cloudchar_core::characterize_jobs(&r, jobs));
+            println!("{}", cloudchar_core::characterize_jobs(lab.get(key), jobs));
         }
     }
 }
@@ -1006,7 +883,10 @@ fn fleet_cmd(
         // untraced run without ever holding the store in memory.
         Some(dir) => {
             let trace = must(TraceDir::open(Path::new(dir)), "open fleet trace");
-            let h = must(trace.fold_values(0xcbf2_9ce4_8422_2325), "hash fleet trace");
+            let h = must(
+                fold_series(&trace, 0xcbf2_9ce4_8422_2325),
+                "hash fleet trace",
+            );
             r.counter_fingerprint(h)
         }
         None => r.fingerprint(),
@@ -1096,7 +976,8 @@ fn print_help(topic: Option<&str>) -> ! {
             println!("  --full                 profile the entire 518-metric catalog");
             println!("  --jobs <N>             worker pool for per-series profiling");
             println!("  --trace-out <dir>      run with streaming traces, then profile");
-            println!("                         out of core (implies the full catalog)");
+            println!("                         out of core (implies the full catalog;");
+            println!("                         prints what --full prints resident)");
             println!("  --trace-in <dir>       profile existing traces without rerunning");
             println!("  --clients <N>          scale the backing runs");
             println!();
@@ -1110,7 +991,8 @@ fn print_help(topic: Option<&str>) -> ! {
             println!("  fig1-4: virtualized cpu/ram/disk/net; fig5-8: non-virtualized.");
             println!("  CSVs land in results/figN_<host>.csv.");
             println!("  --trace-out <dir>      stream the backing runs to .cctr traces");
-            println!("                         and render the figures off disk");
+            println!("                         and render the figures off disk (same");
+            println!("                         stats lines and CSV bytes as resident)");
             println!("  --trace-in <dir>       render from existing traces, no reruns");
             println!("  --clients <N>          scale the backing runs");
             println!();
@@ -1232,7 +1114,7 @@ fn main() {
         clients,
         trace_out: trace_out.clone(),
         trace_in,
-        traced: Vec::new(),
+        traces: HashMap::new(),
         cache: HashMap::new(),
     };
     let all = cmds.iter().any(|c| c == "all");
@@ -1241,14 +1123,9 @@ fn main() {
     if want("table1") {
         table1();
     }
-    for fig in 1..=4u8 {
+    for fig in 1..=8u8 {
         if want(&format!("fig{fig}")) {
-            virt_figure(&mut lab, fig);
-        }
-    }
-    for fig in 5..=8u8 {
-        if want(&format!("fig{fig}")) {
-            phys_figure(&mut lab, fig);
+            figure(&mut lab, fig);
         }
     }
     if want("ratios") {

@@ -14,6 +14,7 @@
 //! * **structure** — the inter-tier lag.
 
 use crate::experiment::ExperimentResult;
+use crate::source::{resident_read, SeriesSource};
 use crate::sweep::par_map_ordered_with;
 use cloudchar_analysis::{find_lag, FitResult, LagResult, Resource, SeriesScratch, Summary};
 use cloudchar_monitor::{catalog, MetricId, Source};
@@ -21,6 +22,7 @@ use cloudchar_simcore::hash::{IntHasher, IntMap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hasher;
+use std::io;
 
 /// Characterization of one `(host, resource)` demand series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -197,52 +199,96 @@ pub struct FullCharacterization {
 /// host, not just the per-resource rollups — on at most `jobs` pooled
 /// worker threads. Output order is host presentation order crossed with
 /// catalog order, independent of the job count.
+pub fn full_characterize(result: &ExperimentResult, jobs: usize) -> FullCharacterization {
+    resident_read(full_characterize_source(result, jobs))
+}
+
+/// [`full_characterize`] over any [`SeriesSource`]: the resident store
+/// of a run or its on-disk trace, with identical output.
 ///
 /// Many catalog series are bit-identical (idle counters, aliased perf
-/// events), so each distinct series is profiled once and its profile is
-/// copied to every `(host, metric)` that carries it.
-pub fn full_characterize(result: &ExperimentResult, jobs: usize) -> FullCharacterization {
+/// events). When the source holds its series in memory, each distinct
+/// series is profiled once and its profile is copied to every
+/// `(host, metric)` that carries it. An on-disk source profiles every
+/// series: confirming a merge bit for bit would decode a series a
+/// second time, which costs more than the profile it saves (DESIGN.md
+/// §15.4). Each worker holds one series at a time in its
+/// [`SeriesScratch`].
+pub fn full_characterize_source<S: SeriesSource + ?Sized>(
+    src: &S,
+    jobs: usize,
+) -> io::Result<FullCharacterization> {
     let c = catalog();
-    let dt_s = result.config.sample_interval.as_secs_f64();
-    let mut tasks: Vec<(&str, MetricId, &[f64])> = Vec::new();
-    let mut metrics_per_host = Vec::with_capacity(result.hosts.len());
-    for host in &result.hosts {
+    let hosts = src.hosts();
+    let mut tasks: Vec<(&str, MetricId)> = Vec::new();
+    let mut metrics_per_host = Vec::with_capacity(hosts.len());
+    for host in &hosts {
         let before = tasks.len();
         for id in c.ids() {
-            if let Some(series) = result.store.get(host, id) {
-                tasks.push((host, id, &series.values));
+            if src.has_series(host, id) {
+                tasks.push((host.as_str(), id));
             }
         }
         metrics_per_host.push((host.clone(), tasks.len() - before));
     }
-    let (distinct, group_of) = group_by_content(tasks.iter().map(|&(_, _, xs)| xs));
-    let profiled = par_map_ordered_with(&distinct, jobs, SeriesScratch::new, |scratch, &xs| {
-        scratch.load(xs);
-        profile_loaded(scratch, dt_s)
-    });
-    let profiles = tasks
+    let dt_s = match src.interval() {
+        Some(interval) => interval.as_secs_f64(),
+        None => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "source holds no series to characterize",
+            ))
+        }
+    };
+    let resident: Option<Vec<&[f64]>> = tasks
         .iter()
-        .zip(group_of)
-        .filter_map(|(&(host, id, _), group)| {
-            let (summary, fit, autocorr1, jumps, period) = profiled[group].clone()?;
-            let def = c.def(id);
-            Some(MetricProfile {
-                host: host.to_string(),
-                metric: def.name.clone(),
-                source: def.source,
-                summary,
-                fit,
-                autocorr1,
-                jumps,
-                period,
-            })
-        })
+        .map(|&(host, id)| src.resident(host, id))
         .collect();
-    FullCharacterization {
-        hosts: result.hosts.clone(),
+    let group_of = match resident {
+        Some(series) => group_by_content(series.into_iter()),
+        None => (0..tasks.len()).collect(),
+    };
+    // Groups are numbered in first-seen order, so a task that opens a
+    // new group is that group's representative.
+    let mut distinct = Vec::new();
+    for (task, &group) in tasks.iter().zip(&group_of) {
+        if group == distinct.len() {
+            distinct.push(*task);
+        }
+    }
+    let profiled = par_map_ordered_with(
+        &distinct,
+        jobs,
+        SeriesScratch::new,
+        |scratch, &(host, id)| -> io::Result<_> {
+            src.load_scratch(host, id, scratch)?;
+            Ok(profile_loaded(scratch, dt_s))
+        },
+    );
+    let mut profiles = Vec::with_capacity(tasks.len());
+    for (&(host, id), group) in tasks.iter().zip(group_of) {
+        let (summary, fit, autocorr1, jumps, period) = match &profiled[group] {
+            Ok(Some(profile)) => profile.clone(),
+            Ok(None) => continue,
+            Err(e) => return Err(io::Error::new(e.kind(), e.to_string())),
+        };
+        let def = c.def(id);
+        profiles.push(MetricProfile {
+            host: host.to_string(),
+            metric: def.name.clone(),
+            source: def.source,
+            summary,
+            fit,
+            autocorr1,
+            jumps,
+            period,
+        });
+    }
+    Ok(FullCharacterization {
+        hosts,
         metrics_per_host,
         profiles,
-    }
+    })
 }
 
 /// Seedless hash of a series' `f64::to_bits` words. Four interleaved
@@ -266,14 +312,12 @@ fn content_hash(xs: &[f64]) -> u64 {
     hasher.finish()
 }
 
-/// Group series by content. Returns the distinct series in first-seen
-/// order and, per input series, the index of its group. Series are
-/// equal when their `f64::to_bits` words are, so `0.0` and `-0.0` stay
-/// apart. A seedless hash of the words finds candidates; a hash hit is
-/// confirmed word by word, and a collision starts a new group.
-fn group_by_content<'a>(
-    series: impl ExactSizeIterator<Item = &'a [f64]>,
-) -> (Vec<&'a [f64]>, Vec<usize>) {
+/// Group series by content: per input series, the index of its group,
+/// groups numbered in first-seen order. Series are equal when their
+/// `f64::to_bits` words are, so `0.0` and `-0.0` stay apart. A seedless
+/// hash of the words finds candidates; a hash hit is confirmed word by
+/// word, and a collision starts a new group.
+fn group_by_content<'a>(series: impl ExactSizeIterator<Item = &'a [f64]>) -> Vec<usize> {
     let mut group_of = Vec::with_capacity(series.len());
     let mut distinct: Vec<&[f64]> = Vec::new();
     // Per hash, the newest group; per group, the previous group with
@@ -303,7 +347,7 @@ fn group_by_content<'a>(
         });
         group_of.push(group);
     }
-    (distinct, group_of)
+    group_of
 }
 
 impl fmt::Display for Characterization {
@@ -540,8 +584,9 @@ mod tests {
             }
         }
         // Idle and aliased counters repeat: most series are duplicates.
-        let (distinct, _) = group_by_content(series.iter().map(|&(_, _, xs)| xs));
-        assert_eq!((series.len(), distinct.len()), (1008, 505));
+        let group_of = group_by_content(series.iter().map(|&(_, _, xs)| xs));
+        let groups = group_of.iter().max().map_or(0, |g| g + 1);
+        assert_eq!((series.len(), groups), (1008, 505));
         let fc = full_characterize(&r, 2);
         assert_eq!(fc.profiles.len(), series.len());
         for (p, &(host, id, xs)) in fc.profiles.iter().zip(&series) {
@@ -568,9 +613,8 @@ mod tests {
         let a: &[f64] = &[0.0, 1.0, 2.0];
         let b: &[f64] = &[-0.0, 1.0, 2.0];
         let prefix: &[f64] = &[0.0, 1.0];
-        let (distinct, group_of) = group_by_content([a, b, a, prefix, b].into_iter());
-        assert_eq!(distinct.len(), 3, "0.0 and -0.0 must not merge");
-        assert_eq!(group_of, vec![0, 1, 0, 2, 1]);
+        let group_of = group_by_content([a, b, a, prefix, b].into_iter());
+        assert_eq!(group_of, vec![0, 1, 0, 2, 1], "0.0 and -0.0 must not merge");
 
         // Two different 2-sample series with the same hash: both words
         // go to the tail hasher, so pick the second series' last word to
@@ -588,8 +632,7 @@ mod tests {
         let y = [f64::from_bits(y1), f64::from_bits(y2)];
         assert_eq!(state(&[2, x1, x2]), state(&[2, y1, y2]));
         assert_eq!(content_hash(&x), content_hash(&y), "constructed collision");
-        let (distinct, group_of) = group_by_content([&x[..], &y[..], &x[..]].into_iter());
-        assert_eq!(distinct.len(), 2, "a hash collision must not merge");
-        assert_eq!(group_of, vec![0, 1, 0]);
+        let group_of = group_by_content([&x[..], &y[..], &x[..]].into_iter());
+        assert_eq!(group_of, vec![0, 1, 0], "a hash collision must not merge");
     }
 }

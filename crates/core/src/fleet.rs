@@ -31,6 +31,7 @@
 use crate::config::{Deployment, ExperimentConfig};
 use crate::experiment::RunOptions;
 use crate::online::OnlineReport;
+use crate::source::{fold_series, resident_read};
 use crate::workload::{admit, start, FailCause, Lanes, Outcomes, Request, Stack};
 use cloudchar_monitor::SeriesStore;
 use cloudchar_rubis::{
@@ -181,20 +182,13 @@ impl FleetResult {
     /// FNV-1a fold over every sampled series plus the client-side
     /// counters — the replay fingerprint the differential tests pin.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (_, _, series) in self.store.iter() {
-            for &v in &series.values {
-                h ^= v.to_bits();
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        let h = resident_read(fold_series(&self.store, 0xcbf2_9ce4_8422_2325));
         self.counter_fingerprint(h)
     }
 
     /// Continue the replay fingerprint from `h` — the FNV fold of the
-    /// sampled series (what [`FleetResult::fingerprint`] computes from
-    /// `store`, or `TraceDir::fold_values` streams off disk for a
-    /// traced run) — over the client-side counters.
+    /// sampled series ([`fold_series`] over `store`, or over the
+    /// on-disk trace of a traced run) — over the client-side counters.
     pub fn counter_fingerprint(&self, mut h: u64) -> u64 {
         let mut fold = |bits: u64| {
             h ^= bits;

@@ -38,6 +38,7 @@ pub mod online;
 pub mod phys;
 pub mod platform;
 pub mod report;
+pub mod source;
 pub mod sweep;
 pub mod trace;
 pub mod virt;
@@ -45,8 +46,8 @@ pub mod workload;
 
 pub use batch::{run_batch, BatchConfig, BatchResult};
 pub use characterize::{
-    characterize, characterize_jobs, full_characterize, Characterization, FullCharacterization,
-    MetricProfile, ResourceProfile, TransactionProfile,
+    characterize, characterize_jobs, full_characterize, full_characterize_source, Characterization,
+    FullCharacterization, MetricProfile, ResourceProfile, TransactionProfile,
 };
 pub use compare::{
     paper_values, q1_tier_lag, q2_ram_jumps, q3_disk_cv, r1_front_vs_back, r2_vms_vs_dom0,
@@ -60,9 +61,10 @@ pub use online::{OnlineBank, OnlineReport, OnlineSnapshot};
 pub use phys::{HostIoPolicy, PhysPlatform};
 pub use platform::{Platform, Tier, TierLoad};
 pub use report::{render_report, render_report_jobs, ReportInputs};
+pub use source::{fold_series, resource_series, SeriesSource};
 pub use sweep::{
     default_jobs, par_map_ordered_with, run_seeds, run_seeds_jobs, sweep_stat, SweepStat,
 };
-pub use trace::{full_characterize_trace, write_csv_streaming, ResourceCursor, TraceDir};
+pub use trace::{full_characterize_trace, TraceDir};
 pub use virt::{VirtOptions, VirtPlatform};
 pub use workload::World;

@@ -177,6 +177,9 @@ impl OpenChunk {
     }
 }
 
+/// Bytes of one footer index entry.
+const INDEX_ENTRY_LEN: usize = 50;
+
 /// One sealed chunk's entry in the footer index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct IndexEntry {
@@ -189,6 +192,15 @@ struct IndexEntry {
     offset: u64,
     payload_len: u32,
     checksum: u64,
+}
+
+impl IndexEntry {
+    fn timing(&self) -> (SimTime, SimDuration) {
+        (
+            SimTime::from_nanos(self.first_t),
+            SimDuration::from_nanos(self.interval),
+        )
+    }
 }
 
 /// Streaming writer: appends samples on the sampling tick, spills
@@ -416,6 +428,10 @@ impl<'a> ByteCursor<'a> {
         Ok(s)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u16(&mut self) -> io::Result<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
@@ -497,8 +513,11 @@ impl ChunkReader {
             buf: &footer,
             pos: 0,
         };
+        // Counts come from the file, so each capacity is capped at what
+        // the remaining footer bytes can hold: a crafted count asks for
+        // no more memory than the footer itself occupies.
         let n_hosts = c.u32()? as usize;
-        let mut hosts = Vec::with_capacity(n_hosts);
+        let mut hosts = Vec::with_capacity(n_hosts.min(c.remaining() / 2));
         for _ in 0..n_hosts {
             let n = c.u16()? as usize;
             let raw = c.take(n)?;
@@ -507,7 +526,7 @@ impl ChunkReader {
             hosts.push(label.to_string());
         }
         let n_chunks = c.u32()? as usize;
-        let mut index = Vec::with_capacity(n_chunks);
+        let mut index = Vec::with_capacity(n_chunks.min(c.remaining() / INDEX_ENTRY_LEN));
         for _ in 0..n_chunks {
             index.push(IndexEntry {
                 host: c.u32()?,
@@ -529,6 +548,35 @@ impl ChunkReader {
                     e.host
                 )));
             }
+            let frame_end = e.offset.checked_add(12 + e.payload_len as u64);
+            if e.offset < MAGIC_HEADER.len() as u64
+                || frame_end.map_or(true, |end| end > footer_offset)
+            {
+                return Err(bad(format!(
+                    "{}: chunk frame at offset {} ({} payload bytes) lies outside the chunk region",
+                    path.display(),
+                    e.offset,
+                    e.payload_len
+                )));
+            }
+        }
+        // One sort serves every lookup: a series is a contiguous run of
+        // entries, in sequence order, found by binary search.
+        index.sort_unstable_by_key(|e| (e.host, e.metric, e.seq));
+        let mut expected = 0u32;
+        for (i, e) in index.iter().enumerate() {
+            if i > 0 && (e.host, e.metric) != (index[i - 1].host, index[i - 1].metric) {
+                expected = 0;
+            }
+            if e.seq != expected {
+                return Err(bad(format!(
+                    "{}: {}/{} chunk sequence has a gap at {expected}",
+                    path.display(),
+                    hosts[e.host as usize],
+                    e.metric
+                )));
+            }
+            expected += 1;
         }
         Ok(ChunkReader {
             path: path.to_path_buf(),
@@ -546,24 +594,27 @@ impl ChunkReader {
         self.hosts.iter().position(|h| h == host).map(|i| i as u32)
     }
 
+    /// The index entries of `(host, metric)`, in sequence order; empty
+    /// when the series is absent.
+    fn entries(&self, host: &str, metric: MetricId) -> &[IndexEntry] {
+        let Some(h) = self.find_host(host) else {
+            return &[];
+        };
+        let key = (h, metric.0);
+        let lo = self.index.partition_point(|e| (e.host, e.metric) < key);
+        let hi = lo + self.index[lo..].partition_point(|e| (e.host, e.metric) == key);
+        &self.index[lo..hi]
+    }
+
     /// Whether any chunk exists for `(host, metric)`.
     pub fn has_series(&self, host: &str, metric: MetricId) -> bool {
-        let Some(h) = self.find_host(host) else {
-            return false;
-        };
-        self.index
-            .iter()
-            .any(|e| e.host == h && e.metric == metric.0)
+        !self.entries(host, metric).is_empty()
     }
 
     /// Total samples stored for `(host, metric)`.
     pub fn sample_count(&self, host: &str, metric: MetricId) -> u64 {
-        let Some(h) = self.find_host(host) else {
-            return 0;
-        };
-        self.index
+        self.entries(host, metric)
             .iter()
-            .filter(|e| e.host == h && e.metric == metric.0)
             .map(|e| e.count as u64)
             .sum()
     }
@@ -571,60 +622,34 @@ impl ChunkReader {
     /// Start time and sampling interval of `(host, metric)`, from its
     /// first chunk.
     pub fn timing(&self, host: &str, metric: MetricId) -> Option<(SimTime, SimDuration)> {
-        let h = self.find_host(host)?;
-        self.index
-            .iter()
-            .filter(|e| e.host == h && e.metric == metric.0)
-            .min_by_key(|e| e.seq)
-            .map(|e| {
-                (
-                    SimTime::from_nanos(e.first_t),
-                    SimDuration::from_nanos(e.interval),
-                )
-            })
+        self.entries(host, metric).first().map(IndexEntry::timing)
     }
 
     /// Every `(host, metric)` series present, sorted by
     /// `(host label, metric id)` — the iteration order of
     /// [`SeriesStore::iter`].
     pub fn series_ids(&self) -> Vec<(HostLabel, MetricId)> {
-        let mut ids: Vec<(HostLabel, MetricId)> = Vec::new();
-        for e in &self.index {
-            let key = (self.hosts[e.host as usize].clone(), MetricId(e.metric));
-            if !ids.contains(&key) {
-                ids.push(key);
-            }
-        }
+        let mut ids: Vec<(HostLabel, MetricId)> = self
+            .index
+            .iter()
+            .filter(|e| e.seq == 0)
+            .map(|e| (self.hosts[e.host as usize].clone(), MetricId(e.metric)))
+            .collect();
         ids.sort();
         ids
     }
 
-    /// Open a streaming cursor over one series. The cursor owns its own
-    /// file handle, so cursors can run in parallel pool workers.
-    pub fn cursor(&self, host: &str, metric: MetricId) -> io::Result<SeriesCursor> {
-        let h = self
-            .find_host(host)
-            .ok_or_else(|| bad(format!("host {host:?} not present in trace")))?;
-        let mut entries: Vec<IndexEntry> = self
-            .index
-            .iter()
-            .filter(|e| e.host == h && e.metric == metric.0)
-            .cloned()
-            .collect();
-        entries.sort_by_key(|e| e.seq);
-        for (i, e) in entries.iter().enumerate() {
-            if e.seq != i as u32 {
-                return Err(bad(format!(
-                    "{}: {host}/{} chunk sequence has a gap at {i}",
-                    self.path.display(),
-                    metric.0
-                )));
-            }
+    /// Open a streaming cursor over one series; an absent metric yields
+    /// no chunks. The cursor owns its own file handle, so cursors can
+    /// run in parallel pool workers.
+    pub fn cursor(&self, host: &str, metric: MetricId) -> io::Result<SeriesCursor<'_>> {
+        if self.find_host(host).is_none() {
+            return Err(bad(format!("host {host:?} not present in trace")));
         }
         Ok(SeriesCursor {
             file: File::open(&self.path)?,
-            path: self.path.clone(),
-            entries,
+            path: &self.path,
+            entries: self.entries(host, metric),
             next: 0,
             payload: Vec::new(),
             values: Vec::new(),
@@ -636,34 +661,19 @@ impl ChunkReader {
 /// [`next_chunk`](SeriesCursor::next_chunk) decodes one chunk into a
 /// reused buffer, so peak resident series memory is one chunk.
 #[derive(Debug)]
-pub struct SeriesCursor {
+pub struct SeriesCursor<'a> {
     file: File,
-    path: PathBuf,
-    entries: Vec<IndexEntry>,
+    path: &'a Path,
+    entries: &'a [IndexEntry],
     next: usize,
     payload: Vec<u8>,
     values: Vec<f64>,
 }
 
-impl SeriesCursor {
-    /// Total samples across all chunks of this series.
-    pub fn total_samples(&self) -> u64 {
-        self.entries.iter().map(|e| e.count as u64).sum()
-    }
-
+impl SeriesCursor<'_> {
     /// Start time and sampling interval (from the first chunk).
     pub fn timing(&self) -> Option<(SimTime, SimDuration)> {
-        self.entries.first().map(|e| {
-            (
-                SimTime::from_nanos(e.first_t),
-                SimDuration::from_nanos(e.interval),
-            )
-        })
-    }
-
-    /// Rewind to the first chunk.
-    pub fn rewind(&mut self) {
-        self.next = 0;
+        self.entries.first().map(IndexEntry::timing)
     }
 
     /// Decode the next chunk, verifying its framed checksum. Returns
@@ -979,6 +989,105 @@ mod tests {
             }
         };
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    /// Write a trace file around a hand-made footer: the header magic,
+    /// `body` zero bytes of chunk region, the footer, and a trailer
+    /// whose checksum matches, so only the footer's contents can fail.
+    fn crafted(name: &str, body: usize, footer: &[u8]) -> PathBuf {
+        let path = tmp(name);
+        let mut bytes = MAGIC_HEADER.to_vec();
+        bytes.resize(8 + body, 0);
+        bytes.extend_from_slice(footer);
+        bytes.extend_from_slice(&(8 + body as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv64(footer).to_le_bytes());
+        bytes.extend_from_slice(MAGIC_TRAILER);
+        fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// One footer index entry with the given sequence, offset and
+    /// payload length (host 0, metric 1).
+    fn entry(seq: u32, offset: u64, payload_len: u32) -> Vec<u8> {
+        let mut e = Vec::new();
+        e.extend_from_slice(&0u32.to_le_bytes());
+        e.extend_from_slice(&1u16.to_le_bytes());
+        e.extend_from_slice(&seq.to_le_bytes());
+        e.extend_from_slice(&4u32.to_le_bytes());
+        e.extend_from_slice(&2u64.to_le_bytes());
+        e.extend_from_slice(&2u64.to_le_bytes());
+        e.extend_from_slice(&offset.to_le_bytes());
+        e.extend_from_slice(&payload_len.to_le_bytes());
+        e.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(e.len(), INDEX_ENTRY_LEN);
+        e
+    }
+
+    /// A footer with one host `"h"` and the given chunk count and
+    /// entries.
+    fn footer(n_chunks: u32, entries: &[Vec<u8>]) -> Vec<u8> {
+        let mut f = 1u32.to_le_bytes().to_vec();
+        f.extend_from_slice(&1u16.to_le_bytes());
+        f.push(b'h');
+        f.extend_from_slice(&n_chunks.to_le_bytes());
+        for e in entries {
+            f.extend_from_slice(e);
+        }
+        f
+    }
+
+    #[test]
+    fn crafted_counts_are_rejected_without_allocating_them() {
+        // A valid checksum over a footer that claims u32::MAX chunks (or
+        // hosts) must fail as truncated, not reserve hundreds of GB.
+        let path = crafted("huge_chunks.cctr", 0, &footer(u32::MAX, &[]));
+        let err = ChunkReader::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("truncated"), "{err}");
+        let path = crafted("huge_hosts.cctr", 0, &u32::MAX.to_le_bytes());
+        let err = ChunkReader::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn frames_outside_the_chunk_region_are_rejected_at_open() {
+        // 32 bytes of chunk region: a frame (12 bytes + payload) must end
+        // by offset 40, where the footer starts.
+        let fits = crafted("frame_fits.cctr", 32, &footer(1, &[entry(0, 8, 20)]));
+        assert!(ChunkReader::open(&fits).is_ok());
+        for (name, offset, len) in [
+            ("frame_past_footer.cctr", 8, 21),
+            ("frame_huge_payload.cctr", 8, u32::MAX),
+            ("frame_offset_wraps.cctr", u64::MAX - 4, 0),
+            ("frame_in_header.cctr", 0, 0),
+        ] {
+            let path = crafted(name, 32, &footer(1, &[entry(0, offset, len)]));
+            let err = ChunkReader::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(err.to_string().contains("outside"), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn chunk_sequence_gaps_are_rejected_at_open() {
+        // Entries may appear in any order; sorted, they must count 0, 1, …
+        let ok = crafted(
+            "seq_ok.cctr",
+            32,
+            &footer(2, &[entry(1, 8, 0), entry(0, 8, 0)]),
+        );
+        let r = ChunkReader::open(&ok).unwrap();
+        assert_eq!(r.sample_count("h", MetricId(1)), 8);
+        for (name, entries) in [
+            ("seq_gap.cctr", vec![entry(0, 8, 0), entry(2, 8, 0)]),
+            ("seq_late_start.cctr", vec![entry(1, 8, 0)]),
+            ("seq_duplicate.cctr", vec![entry(0, 8, 0), entry(0, 8, 0)]),
+        ] {
+            let path = crafted(name, 32, &footer(entries.len() as u32, &entries));
+            let err = ChunkReader::open(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(err.to_string().contains("gap"), "{name}: {err}");
+        }
     }
 
     #[test]

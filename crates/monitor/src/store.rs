@@ -234,6 +234,12 @@ impl SeriesStore {
         HostId((self.hosts.len() - 1) as u32)
     }
 
+    /// Interned host labels in first-touch order (the sampling order of
+    /// the platform that filled the store).
+    pub fn host_labels(&self) -> &[HostLabel] {
+        &self.hosts
+    }
+
     /// Label of an interned host.
     pub fn host_label(&self, id: HostId) -> &str {
         &self.hosts[id.0 as usize]

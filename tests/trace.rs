@@ -6,10 +6,11 @@
 //! golden fingerprints the resident store is pinned against, and a
 //! truncated file must fail loudly instead of decoding a short series.
 
+use cloudchar_analysis::{summarize, Resource};
 use cloudchar_core::{
-    full_characterize, full_characterize_trace, run, run_fleet, run_fleet_opts, run_opts,
-    write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
-    ResourceCursor, RunOptions, TraceDir,
+    fold_series, full_characterize, full_characterize_source, full_characterize_trace,
+    resource_series, run, run_fleet, run_fleet_opts, run_opts, Deployment, ExperimentConfig,
+    ExperimentResult, FleetConfig, RunOptions, SeriesSource, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkReader, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
@@ -124,70 +125,74 @@ fn traced_hundred_k_run_matches_golden_fingerprint() {
     );
 }
 
+/// One figure panel as `repro` renders it from two sources: the browse
+/// and bid stats lines, then the CSV bytes (time column at 2 s, NaN
+/// padding to the longer column).
+fn render_panel(
+    browse: &dyn SeriesSource,
+    bid: &dyn SeriesSource,
+    res: Resource,
+    host: &str,
+) -> String {
+    let b = resource_series(browse, res, host).expect("browse series");
+    let q = resource_series(bid, res, host).expect("bid series");
+    let mut out = String::new();
+    for xs in [&b, &q] {
+        let s = summarize(xs).expect("non-empty series");
+        out.push_str(&format!(
+            "mean {:>12.4e}  max {:>12.4e}  cv {:>5.2}\n",
+            s.mean, s.max, s.cv
+        ));
+    }
+    out.push_str("t_s,browse,bid\n");
+    for i in 0..b.len().max(q.len()) {
+        out.push_str(&format!("{:.1}", (i + 1) as f64 * 2.0));
+        for c in [&b, &q] {
+            out.push_str(&format!(",{:.3}", c.get(i).copied().unwrap_or(f64::NAN)));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 #[test]
 fn streamed_fig_csvs_are_byte_identical() {
-    // The figure path: ResourceCursor + write_csv_streaming must emit
-    // the same bytes as the in-memory exporter builds from
-    // resource_series, NaN padding included.
-    use cloudchar_analysis::Resource;
-    let browse = run(ExperimentConfig::fast(
-        Deployment::Virtualized,
-        WorkloadMix::BROWSING,
-    ));
-    let bid = run(ExperimentConfig::fast(
-        Deployment::Virtualized,
-        WorkloadMix::BIDDING,
-    ));
-    let bp = tmp("fig_browse.cctr");
-    let qp = tmp("fig_bid.cctr");
-    traced_run(
-        ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING),
-        &bp,
-    )
-    .expect("traced browse");
-    traced_run(
-        ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BIDDING),
-        &qp,
-    )
-    .expect("traced bid");
-    let bt = TraceDir::open(&bp).expect("open browse trace");
-    let qt = TraceDir::open(&qp).expect("open bid trace");
-    for res in [Resource::Cpu, Resource::Ram, Resource::Disk, Resource::Net] {
-        for host in ["web-vm", "mysql-vm", "dom0"] {
-            let (b, q) = (
-                browse.resource_series(res, host),
-                bid.resource_series(res, host),
-            );
-            let mut want = String::from("t_s,browse,bid\n");
-            let n = b.len().max(q.len());
-            for i in 0..n {
-                want.push_str(&format!("{:.1}", (i + 1) as f64 * 2.0));
-                for c in [&b, &q] {
-                    want.push_str(&format!(",{:.3}", c.get(i).copied().unwrap_or(f64::NAN)));
-                }
-                want.push('\n');
+    // Every panel of fig1–fig8 — stats lines and CSV bytes — rendered
+    // from the on-disk traces equals the rendering from the resident
+    // results of the same runs.
+    for (deployment, hosts) in [
+        (Deployment::Virtualized, &["web-vm", "mysql-vm", "dom0"][..]),
+        (Deployment::NonVirtualized, &["web-pm", "mysql-pm"][..]),
+    ] {
+        let cfg = |mix| ExperimentConfig::fast(deployment, mix);
+        let browse = run(cfg(WorkloadMix::BROWSING));
+        let bid = run(cfg(WorkloadMix::BIDDING));
+        let (bp, qp) = (
+            tmp(&format!("fig_browse_{deployment:?}.cctr")),
+            tmp(&format!("fig_bid_{deployment:?}.cctr")),
+        );
+        traced_run(cfg(WorkloadMix::BROWSING), &bp).expect("traced browse");
+        traced_run(cfg(WorkloadMix::BIDDING), &qp).expect("traced bid");
+        let bt = TraceDir::open(&bp).expect("open browse trace");
+        let qt = TraceDir::open(&qp).expect("open bid trace");
+        for res in Resource::ALL {
+            for &host in hosts {
+                let want = render_panel(&browse, &bid, res, host);
+                assert_eq!(
+                    render_panel(&bt, &qt, res, host),
+                    want,
+                    "{deployment:?} {res:?}/{host}: traced figure diverged from the resident one"
+                );
             }
-            let out = tmp("fig_stream.csv");
-            let mut cols = [
-                ResourceCursor::new(&bt, res, host, 2.0).expect("browse cursor"),
-                ResourceCursor::new(&qt, res, host, 2.0).expect("bid cursor"),
-            ];
-            write_csv_streaming(&out, "t_s,browse,bid", &mut cols, 2.0).expect("stream csv");
-            let got = std::fs::read(&out).expect("read streamed csv");
-            assert_eq!(
-                got,
-                want.into_bytes(),
-                "{res:?}/{host}: streamed CSV diverged from the in-memory exporter"
-            );
         }
     }
 }
 
 #[test]
 fn out_of_core_characterization_equals_in_memory() {
-    // full_characterize_trace must produce the *same* profiles as
-    // full_characterize — same order, same numbers — and be invariant
-    // to the worker-pool width.
+    // One characterize loop over both sources: the traced run's profiles
+    // equal the resident run's — same order, same numbers — at every
+    // worker-pool width.
     let r = run(ExperimentConfig::fast(
         Deployment::Virtualized,
         WorkloadMix::BROWSING,
@@ -200,12 +205,39 @@ fn out_of_core_characterization_equals_in_memory() {
     .expect("traced run");
     let trace = TraceDir::open(&path).expect("open trace");
     let mem = serde_json::to_string(&full_characterize(&r, 2)).expect("serialize");
-    let ooc1 = serde_json::to_string(&full_characterize_trace(&trace, 1).expect("ooc jobs=1"))
-        .expect("serialize");
-    let ooc3 = serde_json::to_string(&full_characterize_trace(&trace, 3).expect("ooc jobs=3"))
-        .expect("serialize");
-    assert_eq!(mem, ooc1, "out-of-core characterization diverged");
-    assert_eq!(ooc1, ooc3, "characterization depends on --jobs");
+    for jobs in [1, 3] {
+        let ooc = full_characterize_trace(&trace, jobs).expect("out of core");
+        assert_eq!(
+            serde_json::to_string(&ooc).expect("serialize"),
+            mem,
+            "out-of-core characterization diverged at jobs={jobs}"
+        );
+    }
+
+    // A fleet: a directory of per-pod traces against the merged
+    // resident store of the same fleet run.
+    let mut cfg = FleetConfig::paper13();
+    cfg.pods = 2;
+    cfg.base.clients = 120;
+    cfg.base.duration = SimDuration::from_secs(60);
+    let untraced = run_fleet(&cfg, 2);
+    let dir = tmp("char_fleet");
+    let opts = RunOptions {
+        trace_out: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    run_fleet_opts(&cfg, RunMode::Windowed { jobs: 2 }, &opts).expect("traced fleet");
+    let trace = TraceDir::open(&dir).expect("open fleet trace");
+    for jobs in [1, 3] {
+        let mem = full_characterize_source(&untraced.store, jobs).expect("resident fleet");
+        let ooc = full_characterize_source(&trace, jobs).expect("out-of-core fleet");
+        assert_eq!(mem.hosts.len(), 6, "two pods of three hosts");
+        assert_eq!(
+            serde_json::to_string(&ooc).expect("serialize"),
+            serde_json::to_string(&mem).expect("serialize"),
+            "fleet out-of-core characterization diverged at jobs={jobs}"
+        );
+    }
 }
 
 #[test]
@@ -268,15 +300,18 @@ fn traced_fleet_matches_untraced_fingerprint() {
     assert_eq!(untraced.completed, traced.completed);
     assert_eq!(untraced.failed, traced.failed);
     let trace = TraceDir::open(&dir).expect("open fleet trace");
-    let h = trace
-        .fold_values(0xcbf2_9ce4_8422_2325)
-        .expect("fold fleet trace");
+    let h = fold_series(&trace, 0xcbf2_9ce4_8422_2325).expect("fold fleet trace");
     assert_eq!(
         traced.counter_fingerprint(h),
         untraced.fingerprint(),
         "traced fleet fingerprint diverged from the in-memory path"
     );
-    let store = trace.read_store().expect("materialize fleet trace");
+    // Materialize every pod's trace; labels are already `podNN/`-prefixed.
+    let mut store = SeriesStore::new();
+    for pod in 0..cfg.pods {
+        let path = dir.join(format!("pod{pod:02}.cctr"));
+        store.merge_renamed(read_store(&path).expect("read pod trace"), "");
+    }
     assert_stores_equal(&untraced.store, &store, "fleet traced vs resident");
 }
 
