@@ -64,6 +64,9 @@ cargo bench -p cloudchar-bench --bench store -- --smoke
 echo "==> analysis bench smoke (FFT+prefix path must not trail the naive engine)"
 cargo bench -p cloudchar-bench --bench analysis -- --smoke
 
+echo "==> micro bench smoke (batched buffer-pool touches: same counters and recency order, no slower than per touch)"
+cargo bench -p cloudchar-bench --bench micro -- --smoke
+
 echo "==> clients bench smoke (cohort wheel: >=10x fewer generator events per tick at 100k)"
 cargo bench -p cloudchar-bench --bench clients -- --smoke
 

@@ -4,14 +4,23 @@
 //! so one timed pass takes tens of milliseconds: the shim times a
 //! single pass after one warm-up call, and a pass of a few hundred
 //! nanoseconds would be dominated by first-call effects.
+//!
+//! `--smoke` runs a crowd-shaped buffer-pool touch list through
+//! `BufferPool::read_all` and through the per-touch `access` loop, and
+//! exits non-zero unless both leave equal counters and recency order
+//! and the batch entry is no slower (ci.sh gate). Its numbers are
+//! recorded in `results/BENCH_micro.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
+use std::collections::HashSet;
 use std::hint::black_box;
+use std::time::Instant;
 
-use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query};
+use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query, QueryResult};
+use cloudchar_rubis::interactions::EntityRanges;
 use cloudchar_rubis::schema::{DbScale, ItemId};
-use cloudchar_rubis::storage::{BufferPool, PageRef, TableId, PAGE_BYTES};
-use cloudchar_rubis::TransitionTable;
+use cloudchar_rubis::storage::{Access, BufferPool, PageRef, TableId, PAGE_BYTES};
+use cloudchar_rubis::{NextAction, QueryList, TransitionTable};
 use cloudchar_simcore::{Dist, Engine, Sample, SimDuration, SimRng, SimTime};
 use cloudchar_xen::{CreditScheduler, Demand, DomId, SchedParams};
 
@@ -99,6 +108,124 @@ fn bench_buffer_pool(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// The read-page lists of the uncached queries that a browsing-mix walk
+/// issues against the fast-scale database (seed 42): crowd-shaped
+/// buffer-pool traffic. Search pages are never cached, and a cacheable
+/// SELECT reaches the pool only the first time (the browsing mix does
+/// not write, so nothing is invalidated).
+fn crowd_touch_lists(queries: usize) -> Vec<Vec<PageRef>> {
+    let mut rng = SimRng::new(42);
+    let mut db = Database::generate(DbScale::small(), &mut rng);
+    let cards = db.cardinalities();
+    let ranges = EntityRanges {
+        users: cards[0] as u32,
+        items: cards[1] as u32,
+        categories: db.scale().categories,
+        regions: db.scale().regions,
+    };
+    let table = TransitionTable::browsing();
+    let mut page = TransitionTable::entry();
+    let mut cached = HashSet::new();
+    let mut result = QueryResult::default();
+    let mut lists = Vec::with_capacity(queries);
+    while lists.len() < queries {
+        page = match table.next(page, &mut rng) {
+            NextAction::Goto(next) => next,
+            NextAction::Back | NextAction::End => TransitionTable::entry(),
+        };
+        for &q in QueryList::draw(page, ranges, &mut rng).as_slice() {
+            if q.cache_key().is_some_and(|key| !cached.insert(key)) {
+                continue;
+            }
+            db.execute(q, 0, &mut result);
+            lists.push(result.pages.clone());
+        }
+    }
+    lists
+}
+
+/// A pool of the MySQL tier's default size, warmed by one per-touch
+/// pass over `lists`.
+fn warm_pool(lists: &[Vec<PageRef>]) -> BufferPool {
+    let mut pool = BufferPool::new(MySqlConfig::default().buffer_pool_bytes);
+    for list in lists {
+        for &page in list {
+            pool.access(page, false);
+        }
+    }
+    pool
+}
+
+/// One query's read touches through the batch entry, cycling over a
+/// crowd-shaped touch list on a warm pool.
+fn bench_query_touch(c: &mut Criterion) {
+    let lists = crowd_touch_lists(2_000);
+    let mut pool = warm_pool(&lists);
+    let mut group = c.benchmark_group("buffer_pool_access");
+    group.sample_size(20_000);
+    group.bench_function("query_touch", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % lists.len();
+            let mut misses = 0u32;
+            pool.read_all(&lists[i], |access| {
+                misses += u32::from(access != Access::Hit)
+            });
+            black_box(misses)
+        })
+    });
+    group.finish();
+}
+
+/// ci.sh gate: the batch entry leaves the counters and recency order
+/// of the per-touch loop, and is no slower on a crowd-shaped touch
+/// list. Best of 5 per side, the sides alternating rep by rep.
+fn smoke() {
+    let lists = crowd_touch_lists(2_000);
+    let touches: usize = lists.iter().map(Vec::len).sum();
+    let warm = warm_pool(&lists);
+    let pass = |batch: bool| {
+        let mut pool = warm_pool(&lists);
+        let t = Instant::now();
+        for list in &lists {
+            if batch {
+                pool.read_all(list, |access| {
+                    black_box(access);
+                });
+            } else {
+                for &page in list {
+                    black_box(pool.access(page, false));
+                }
+            }
+        }
+        (t.elapsed().as_nanos(), pool)
+    };
+    let (mut per_touch, mut batch) = (u128::MAX, u128::MAX);
+    for _ in 0..5 {
+        let (t_touch, by_touch) = pass(false);
+        let (t_batch, by_batch) = pass(true);
+        per_touch = per_touch.min(t_touch);
+        batch = batch.min(t_batch);
+        assert_eq!(by_batch.stats(), by_touch.stats(), "counters differ");
+        assert!(
+            by_batch.recency().eq(by_touch.recency()),
+            "recency order differs"
+        );
+    }
+    let (hits, misses, _) = warm.stats();
+    let speedup = per_touch as f64 / batch as f64;
+    println!(
+        "micro smoke: {} queries, {touches} touches ({:.2}% hits warming), per-touch {per_touch} ns, batch {batch} ns, speedup {speedup:.2}x",
+        lists.len(),
+        100.0 * hits as f64 / (hits + misses) as f64,
+    );
+    assert!(
+        batch <= per_touch,
+        "batched touches regressed below the per-touch loop ({speedup:.2}x)"
+    );
+    println!("micro smoke: PASS");
 }
 
 /// End-to-end query execution through pool and cache.
@@ -216,10 +343,17 @@ criterion_group!(
     bench_engine,
     bench_scheduler,
     bench_buffer_pool,
+    bench_query_touch,
     bench_db_query,
     bench_transition,
     bench_metric_synthesis,
     bench_distributions,
     bench_sim_speed
 );
-criterion_main!(benches);
+fn main() {
+    if std::env::args().any(|a| a == "--smoke") {
+        smoke();
+    } else {
+        benches();
+    }
+}

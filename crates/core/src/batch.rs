@@ -18,7 +18,7 @@
 
 use crate::config::Deployment;
 use crate::phys::{HostIoPolicy, PhysPlatform};
-use crate::platform::{Platform, Tier, TierLoad};
+use crate::platform::{HostSample, Platform, Tier, TierLoad};
 use crate::virt::VirtPlatform;
 use cloudchar_hw::{IoKind, IoRequest, ServerSpec, WorkToken};
 use cloudchar_monitor::{synthesize_perf_into, synthesize_sysstat_into, SampleRow, SeriesStore};
@@ -120,6 +120,8 @@ struct BatchWorld {
     map_finish: Option<SimTime>,
     job_finish: Option<SimTime>,
     store: SeriesStore,
+    /// Per-tick host samples, reused from tick to tick.
+    host_samples: Vec<HostSample>,
     sample_row: SampleRow,
 }
 
@@ -293,11 +295,15 @@ fn take_sample(world: &mut BatchWorld) {
         tcp_sockets: 8.0,
         forks: 0.5,
     };
-    let samples = world
-        .platform
-        .sample_hosts(dt, load(world.running[0]), load(world.running[1]));
+    let mut samples = std::mem::take(&mut world.host_samples);
+    world.platform.sample_hosts_into(
+        dt,
+        load(world.running[0]),
+        load(world.running[1]),
+        &mut samples,
+    );
     let start = SimTime::ZERO + dt;
-    for s in samples {
+    for s in &samples {
         world.sample_row.clear();
         synthesize_sysstat_into(&s.raw, s.sysstat_source, &mut world.sample_row);
         if s.has_perf {
@@ -306,6 +312,7 @@ fn take_sample(world: &mut BatchWorld) {
         let host = world.store.host_id(s.host);
         world.store.record_row(host, start, dt, &world.sample_row);
     }
+    world.host_samples = samples;
 }
 
 /// Run one batch job to completion (or its deadline).
@@ -344,6 +351,7 @@ pub fn run_batch(cfg: BatchConfig) -> BatchResult {
         map_finish: None,
         job_finish: None,
         store: SeriesStore::new(),
+        host_samples: Vec::new(),
         sample_row: SampleRow::with_capacity(cloudchar_monitor::TOTAL_METRICS),
     };
     let mut engine: Engine<BatchWorld> = Engine::new();

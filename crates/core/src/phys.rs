@@ -373,15 +373,17 @@ impl PhysPlatform {
 
     /// Collect both host samples. Physical machines report through the
     /// host-OS sysstat plane and carry perf directly.
-    pub fn sample_hosts(
+    pub fn sample_hosts_into(
         &mut self,
         dt: SimDuration,
         web_load: TierLoad,
         db_load: TierLoad,
-    ) -> Vec<HostSample> {
+        out: &mut Vec<HostSample>,
+    ) {
         let web = self.sample_one(Tier::Web, dt, web_load);
         let db = self.sample_one(Tier::Db, dt, db_load);
-        vec![
+        out.clear();
+        out.extend([
             HostSample {
                 host: Self::WEB_HOST,
                 raw: web,
@@ -394,7 +396,7 @@ impl PhysPlatform {
                 sysstat_source: Source::HypervisorSysstat,
                 has_perf: true,
             },
-        ]
+        ]);
     }
 }
 
@@ -435,19 +437,23 @@ mod tests {
             );
         }
         // Nothing on the physical disk yet.
-        let s = p.sample_hosts(
+        let mut s = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s,
         );
         assert_eq!(s[0].raw.disk_write_bytes, 0.0);
         assert!(s[0].raw.mem_dirty_kb > 0.0);
         // Commit fires after the interval: one large sequential write.
         p.periodic(SimTime::from_secs(6));
-        let s2 = p.sample_hosts(
+        let mut s2 = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s2,
         );
         assert!(
             s2[0].raw.disk_write_bytes >= 500_000.0,
@@ -468,10 +474,12 @@ mod tests {
                 sequential: true,
             },
         );
-        let s = p.sample_hosts(
+        let mut s = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s,
         );
         assert_eq!(s[1].raw.disk_write_bytes, 512.0);
     }
@@ -505,10 +513,12 @@ mod tests {
         p.net_web_db(SimTime::ZERO, true, 300);
         p.net_web_db(SimTime::ZERO, false, 900);
         p.net_web_to_client(SimTime::ZERO, 20_000);
-        let s = p.sample_hosts(
+        let mut s = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s,
         );
         let web = &s[0].raw;
         let db = &s[1].raw;
@@ -595,10 +605,12 @@ mod tests {
     #[test]
     fn hosts_report_via_host_sysstat_with_perf() {
         let mut p = platform();
-        let s = p.sample_hosts(
+        let mut s = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s,
         );
         assert_eq!(s.len(), 2);
         for h in &s {

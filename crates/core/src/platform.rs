@@ -156,9 +156,23 @@ impl Platform {
         web_load: TierLoad,
         db_load: TierLoad,
     ) -> Vec<HostSample> {
+        let mut out = Vec::new();
+        self.sample_hosts_into(dt, web_load, db_load, &mut out);
+        out
+    }
+
+    /// [`Platform::sample_hosts`] into `out`, replacing its contents, so
+    /// a caller that keeps the buffer samples without allocating.
+    pub fn sample_hosts_into(
+        &mut self,
+        dt: SimDuration,
+        web_load: TierLoad,
+        db_load: TierLoad,
+        out: &mut Vec<HostSample>,
+    ) {
         match self {
-            Platform::Virt(v) => v.sample_hosts(dt, web_load, db_load),
-            Platform::Phys(p) => p.sample_hosts(dt, web_load, db_load),
+            Platform::Virt(v) => v.sample_hosts_into(dt, web_load, db_load, out),
+            Platform::Phys(p) => p.sample_hosts_into(dt, web_load, db_load, out),
         }
     }
 

@@ -41,6 +41,18 @@ pub trait SeriesSource: Sync {
         sink: &mut dyn FnMut(&[f64]),
     ) -> io::Result<()>;
 
+    /// Feed every present catalog series of `host` to `sink` as
+    /// `(metric, chunk)`, metrics in id order and each series' chunks
+    /// in order. By default it asks for each catalog metric in turn; a
+    /// source that knows which of a host's metrics are present reads
+    /// just those.
+    fn read_host(&self, host: &str, sink: &mut dyn FnMut(MetricId, &[f64])) -> io::Result<()> {
+        for id in catalog().ids() {
+            self.read_chunks(host, id, &mut |chunk| sink(id, chunk))?;
+        }
+        Ok(())
+    }
+
     /// The samples of `(host, metric)` when they are already in memory,
     /// so a caller may read them in place.
     fn resident(&self, _host: &str, _metric: MetricId) -> Option<&[f64]> {
@@ -95,6 +107,17 @@ impl SeriesSource for SeriesStore {
         Ok(())
     }
 
+    /// One host lookup, then the host's present columns.
+    fn read_host(&self, host: &str, sink: &mut dyn FnMut(MetricId, &[f64])) -> io::Result<()> {
+        let catalog_len = catalog().len();
+        for (metric, series) in self.host_series(host) {
+            if usize::from(metric.0) < catalog_len {
+                sink(metric, &series.values);
+            }
+        }
+        Ok(())
+    }
+
     fn resident(&self, host: &str, metric: MetricId) -> Option<&[f64]> {
         self.get(host, metric)
             .map(|series| series.values.as_slice())
@@ -121,6 +144,10 @@ impl SeriesSource for ExperimentResult {
         sink: &mut dyn FnMut(&[f64]),
     ) -> io::Result<()> {
         self.store.read_chunks(host, metric, sink)
+    }
+
+    fn read_host(&self, host: &str, sink: &mut dyn FnMut(MetricId, &[f64])) -> io::Result<()> {
+        self.store.read_host(host, sink)
     }
 
     fn resident(&self, host: &str, metric: MetricId) -> Option<&[f64]> {
@@ -217,13 +244,11 @@ pub fn fold_series<S: SeriesSource + ?Sized>(src: &S, mut h: u64) -> io::Result<
     let mut hosts = src.hosts();
     hosts.sort();
     for host in &hosts {
-        for id in catalog().ids() {
-            src.read_chunks(host, id, &mut |chunk| {
-                for &v in chunk {
-                    h = (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3);
-                }
-            })?;
-        }
+        src.read_host(host, &mut |_, chunk| {
+            for &v in chunk {
+                h = (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3);
+            }
+        })?;
     }
     Ok(h)
 }

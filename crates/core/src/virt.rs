@@ -258,12 +258,13 @@ impl VirtPlatform {
     }
 
     /// Collect the three host samples.
-    pub fn sample_hosts(
+    pub fn sample_hosts_into(
         &mut self,
         dt: SimDuration,
         web_load: TierLoad,
         db_load: TierLoad,
-    ) -> Vec<HostSample> {
+        out: &mut Vec<HostSample>,
+    ) {
         let dt_s = dt.as_secs_f64();
         let web = self.guest_sample(Tier::Web, dt, web_load);
         let db = self.guest_sample(Tier::Db, dt, db_load);
@@ -321,7 +322,8 @@ impl VirtPlatform {
             core_hz: hz,
         };
 
-        vec![
+        out.clear();
+        out.extend([
             HostSample {
                 host: Self::WEB_HOST,
                 raw: web,
@@ -340,7 +342,7 @@ impl VirtPlatform {
                 sysstat_source: Source::HypervisorSysstat,
                 has_perf: true,
             },
-        ]
+        ]);
     }
 
     /// Whether a tier's VM is currently up (not crash-injected).
@@ -453,17 +455,21 @@ mod tests {
     fn sampling_resets_deltas() {
         let mut p = platform();
         p.net_client_to_web(SimTime::ZERO, 10_000);
-        let s1 = p.sample_hosts(
+        let mut s1 = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s1,
         );
         let web1 = &s1[0];
         assert_eq!(web1.raw.net_rx_bytes, 10_000.0);
-        let s2 = p.sample_hosts(
+        let mut s2 = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s2,
         );
         assert_eq!(s2[0].raw.net_rx_bytes, 0.0, "delta must reset");
     }
@@ -480,10 +486,12 @@ mod tests {
                 sequential: false,
             },
         );
-        let s = p.sample_hosts(
+        let mut s = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s,
         );
         let db = &s[1];
         let dom0 = &s[2];
@@ -496,10 +504,12 @@ mod tests {
     fn intervm_stays_off_the_wire() {
         let mut p = platform();
         p.net_web_db(SimTime::ZERO, true, 5_000);
-        let s = p.sample_hosts(
+        let mut s = Vec::new();
+        p.sample_hosts_into(
             SimDuration::from_secs(2),
             TierLoad::default(),
             TierLoad::default(),
+            &mut s,
         );
         assert_eq!(s[0].raw.net_tx_bytes, 5_000.0); // web vif tx
         assert_eq!(s[1].raw.net_rx_bytes, 5_000.0); // db vif rx

@@ -29,7 +29,7 @@
 use crate::config::{Deployment, ExperimentConfig};
 use crate::online::{OnlineBank, OnlineReport};
 use crate::phys::{HostIoPolicy, PhysPlatform};
-use crate::platform::{Platform, Tier, TierLoad};
+use crate::platform::{HostSample, Platform, Tier, TierLoad};
 use crate::virt::{VirtOptions, VirtPlatform};
 use cloudchar_hw::{ServerSpec, WorkToken};
 use cloudchar_monitor::{
@@ -38,8 +38,8 @@ use cloudchar_monitor::{
 };
 use cloudchar_rubis::interactions::EntityRanges;
 use cloudchar_rubis::{
-    queries_for, ClientCohort, Database, Interaction, InteractionProfile, MySqlServer, Query,
-    RetryDecision, RetryPolicy, WebAppServer,
+    ClientCohort, Database, Interaction, InteractionProfile, MySqlServer, QueryList, RetryDecision,
+    RetryPolicy, WebAppServer,
 };
 use cloudchar_simcore::stats::{LogHistogram, Welford};
 use cloudchar_simcore::{
@@ -67,8 +67,7 @@ pub(crate) struct Request {
     /// The session's epoch when the request was issued.
     pub(crate) epoch: u64,
     pub(crate) interaction: Interaction,
-    profile: InteractionProfile,
-    queries: VecDeque<Query>,
+    queries: QueryList,
     db_bytes: u64,
     last_db_resp: u64,
     io_barrier: SimTime,
@@ -148,6 +147,8 @@ pub(crate) struct Stack {
     sample_interval: SimDuration,
     end: SimTime,
     completions_scratch: Vec<(Tier, WorkToken)>,
+    /// Per-tick host samples, reused from tick to tick.
+    host_samples: Vec<HostSample>,
     sample_row: SampleRow,
     /// Streaming trace writer: when armed, sampled rows spill to disk
     /// chunk by chunk instead of accumulating in `store`.
@@ -229,6 +230,7 @@ impl Stack {
             sample_interval: cfg.sample_interval,
             end: cfg.end_time(),
             completions_scratch: Vec::new(),
+            host_samples: Vec::new(),
             sample_row: SampleRow::with_capacity(cloudchar_monitor::TOTAL_METRICS),
             trace: None,
             trace_err: None,
@@ -392,12 +394,9 @@ pub(crate) fn admit<H: Outcomes>(
     interaction: Interaction,
 ) -> u64 {
     let s = host.stack();
-    let profile = InteractionProfile::of(interaction);
     let ranges = s.ranges();
-    let queries: VecDeque<Query> = queries_for(interaction, ranges, &mut s.rng)
-        .into_iter()
-        .collect();
-    let req_bytes = profile.sample_request_bytes(&mut s.rng);
+    let queries = QueryList::draw(interaction, ranges, &mut s.rng);
+    let req_bytes = InteractionProfile::of(interaction).sample_request_bytes(&mut s.rng);
     let id = s.next_req;
     s.next_req += 1;
     s.inflight.insert(
@@ -406,7 +405,6 @@ pub(crate) fn admit<H: Outcomes>(
             session,
             epoch,
             interaction,
-            profile,
             queries,
             db_bytes: 0,
             last_db_resp: 0,
@@ -445,7 +443,7 @@ fn start_script(s: &mut Stack, id: u64) {
     let req = s.inflight.get_mut(&id).expect("request exists");
     req.phase = Phase::WebScript;
     req.started = true;
-    let cycles = req.profile.sample_script_cycles(&mut s.rng);
+    let cycles = InteractionProfile::of(req.interaction).sample_script_cycles(&mut s.rng);
     s.mysql.connections = s.web.busy();
     s.platform.submit_work(Tier::Web, WorkToken(id), cycles);
 }
@@ -479,7 +477,7 @@ fn next_query<H: Outcomes>(engine: &mut Engine<H>, s: &mut Stack, id: u64) {
     let req = s.inflight.get_mut(&id).expect("request exists");
     if req.queries.is_empty() {
         req.phase = Phase::WebRender;
-        let resp = req.profile.response_bytes(req.db_bytes);
+        let resp = InteractionProfile::of(req.interaction).response_bytes(req.db_bytes);
         let cycles = s.web.connection_cycles(resp);
         s.platform.submit_work(Tier::Web, WorkToken(id), cycles);
     } else {
@@ -538,7 +536,7 @@ fn db_reply<H: Outcomes>(engine: &mut Engine<H>, host: &mut H, id: u64) {
 /// up, and the response travels back to the client.
 fn finish_request<H: Outcomes>(engine: &mut Engine<H>, s: &mut Stack, id: u64) {
     let req = s.inflight.get(&id).expect("request exists");
-    let resp_bytes = req.profile.response_bytes(req.db_bytes);
+    let resp_bytes = InteractionProfile::of(req.interaction).response_bytes(req.db_bytes);
     let io = s.web.session_write();
     s.platform.disk_io(engine.now(), Tier::Web, io);
     release_worker(s);
@@ -632,8 +630,10 @@ fn take_sample(s: &mut Stack) {
     };
     s.tcp_opened = 0;
     let start = SimTime::ZERO + dt;
-    let samples = s.platform.sample_hosts(dt, web_load, db_load);
-    for host in samples {
+    let mut samples = std::mem::take(&mut s.host_samples);
+    s.platform
+        .sample_hosts_into(dt, web_load, db_load, &mut samples);
+    for host in &samples {
         // One reusable row per host per tick: synthesis appends by
         // cached layout ids, then the whole row commits in one call —
         // no string keys, no map probes, no steady-state allocation.
@@ -662,6 +662,7 @@ fn take_sample(s: &mut Stack) {
             s.store.record_row(id, start, dt, &s.sample_row);
         }
     }
+    s.host_samples = samples;
 }
 
 // ---------------------------------------------------------------------

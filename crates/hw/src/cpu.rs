@@ -78,6 +78,7 @@ impl WorkQueue {
     /// Enqueue a demand of `cycles` tagged with `token`.
     ///
     /// Panics if `cycles` is negative or not finite.
+    #[inline]
     pub fn push(&mut self, token: WorkToken, cycles: f64) {
         assert!(
             cycles.is_finite() && cycles >= 0.0,
@@ -93,6 +94,7 @@ impl WorkQueue {
     /// Execute up to `budget` cycles of queued work, FIFO. Completed
     /// tokens are appended to `completed_out`. Returns the number of
     /// cycles actually executed (≤ budget; less when the queue drains).
+    #[inline]
     pub fn drain(&mut self, budget: f64, completed_out: &mut Vec<WorkToken>) -> f64 {
         assert!(
             budget.is_finite() && budget >= 0.0,

@@ -89,6 +89,7 @@ impl MemoryPool {
 
     /// Grow the page cache by `bytes` (typically after disk reads/writes),
     /// evicting as needed so used memory never exceeds the spec.
+    #[inline]
     pub fn grow_page_cache(&mut self, bytes: Bytes) {
         self.page_cache = self.page_cache.saturating_add(bytes);
         self.reclaim_if_needed();

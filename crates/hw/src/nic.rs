@@ -38,6 +38,7 @@ impl NicSpec {
 
     /// Serialization delay for a payload of `bytes`, splitting it into
     /// 1448-byte MSS segments each carrying the frame overhead.
+    #[inline]
     pub fn wire_time(&self, bytes: Bytes) -> SimDuration {
         const MSS: u64 = 1448;
         let segments = bytes.div_ceil(MSS).max(1);
@@ -106,6 +107,7 @@ impl Nic {
     /// Transmit a message of `bytes` at time `now`; returns the absolute
     /// delivery time at the far end (serialization after queueing, plus
     /// one-way latency).
+    #[inline]
     pub fn transmit(&mut self, now: SimTime, bytes: Bytes) -> SimTime {
         let start = self.tx_busy_until.max(now);
         let mut wire = self.spec.wire_time(bytes);

@@ -343,6 +343,18 @@ impl SeriesStore {
         self.blocks[hi].get(metric.0 as usize)?.as_ref()
     }
 
+    /// Every series of `host`, by metric id; none when the host is
+    /// unknown.
+    pub fn host_series(&self, host: &str) -> impl Iterator<Item = (MetricId, &TimeSeries)> {
+        let block = self
+            .find_host(host)
+            .map_or(&[][..], |hi| &self.blocks[hi][..]);
+        block
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, col)| col.as_ref().map(|s| (MetricId(ci as u16), s)))
+    }
+
     /// Iterate every `(host, metric, series)` entry, sorted by
     /// `(host label, metric id)` — the order the keyed store yielded.
     pub fn iter(&self) -> impl Iterator<Item = (&str, MetricId, &TimeSeries)> {

@@ -119,6 +119,7 @@ impl ClientCohort {
     }
 
     /// Sample the think time before the client's next request.
+    #[inline]
     pub fn think_time(&self, id: u32, rng: &mut SimRng) -> SimDuration {
         let d = match self.mix[id as usize] {
             Mix::Browsing => &self.think_browse,
@@ -170,6 +171,7 @@ impl ClientCohort {
     /// Record the completion of the client's current interaction and
     /// move it to its next page (one transition-table draw, exactly as
     /// the oracle's `advance`).
+    #[inline]
     pub fn advance(&mut self, id: u32, rng: &mut SimRng) -> Interaction {
         let i = id as usize;
         let table = match self.mix[i] {

@@ -768,16 +768,15 @@ impl MySqlServer {
             bytes: PAGE_BYTES,
             sequential: false,
         };
-        for page in &result.pages {
-            match self.pool.access(*page, false) {
-                Access::Hit => {}
-                Access::Miss => self.ios.push(page_io(IoKind::Read)),
-                Access::MissDirtyEvict => {
-                    self.ios.push(page_io(IoKind::Write));
-                    self.ios.push(page_io(IoKind::Read));
-                }
+        let ios = &mut self.ios;
+        self.pool.read_all(&result.pages, |access| match access {
+            Access::Hit => {}
+            Access::Miss => ios.push(page_io(IoKind::Read)),
+            Access::MissDirtyEvict => {
+                ios.push(page_io(IoKind::Write));
+                ios.push(page_io(IoKind::Read));
             }
-        }
+        });
         for page in &result.dirty_pages {
             match self.pool.access(*page, true) {
                 Access::Hit | Access::Miss => {}

@@ -69,9 +69,10 @@ impl Interaction {
         Interaction::AboutMe,
     ];
 
-    /// Dense index of the interaction.
+    /// Dense index of the interaction: its place in [`Interaction::ALL`].
+    #[inline]
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&i| i == self).expect("in ALL")
+        self as usize
     }
 
     /// Whether the interaction writes to the database.
@@ -131,63 +132,80 @@ pub struct InteractionProfile {
     pub html_expansion: f64,
 }
 
+/// An interaction's calibrated profile from its mean script cycles,
+/// static HTML bytes and HTML expansion; every interaction shares the
+/// request-size distribution.
+const fn calibrated(
+    script_cycles_mean: f64,
+    static_html_bytes: u64,
+    html_expansion: f64,
+) -> InteractionProfile {
+    InteractionProfile {
+        request_bytes: Dist::Uniform {
+            lo: 280.0,
+            hi: 700.0,
+        },
+        script_cycles: Dist::Erlang {
+            k: 3,
+            mean: script_cycles_mean,
+        },
+        static_html_bytes,
+        html_expansion,
+    }
+}
+
+/// Every interaction's profile, in [`Interaction::ALL`] order. Script
+/// cycle means are tuned so that 1000 clients at a 7 s think time land
+/// the web tier in the paper's Figure 1 range.
+static PROFILES: [InteractionProfile; Interaction::ALL.len()] = [
+    calibrated(120e3, 5_000, 0.0),  // Home
+    calibrated(90e3, 2_600, 0.0),   // Register
+    calibrated(300e3, 2_400, 1.0),  // RegisterUser
+    calibrated(100e3, 3_400, 0.0),  // Browse
+    calibrated(280e3, 10_500, 1.0), // BrowseCategories
+    calibrated(700e3, 26_000, 1.0), // SearchItemsInCategory
+    calibrated(240e3, 8_800, 1.0),  // BrowseRegions
+    calibrated(300e3, 10_500, 1.0), // BrowseCategoriesInRegion
+    calibrated(780e3, 25_000, 1.0), // SearchItemsInRegion
+    calibrated(480e3, 17_500, 1.0), // ViewItem
+    calibrated(380e3, 11_500, 1.0), // ViewUserInfo
+    calibrated(430e3, 13_500, 1.0), // ViewBidHistory
+    calibrated(140e3, 3_600, 0.0),  // BuyNowAuth
+    calibrated(380e3, 14_000, 1.0), // BuyNow
+    calibrated(430e3, 3_000, 1.0),  // StoreBuyNow
+    calibrated(140e3, 3_600, 0.0),  // PutBidAuth
+    calibrated(430e3, 15_500, 1.0), // PutBid
+    calibrated(480e3, 3_000, 1.0),  // StoreBid
+    calibrated(140e3, 3_600, 0.0),  // PutCommentAuth
+    calibrated(290e3, 12_000, 1.0), // PutComment
+    calibrated(380e3, 3_000, 1.0),  // StoreComment
+    calibrated(120e3, 3_400, 0.0),  // AboutMeAuth
+    calibrated(760e3, 22_500, 1.0), // AboutMe
+];
+
 impl InteractionProfile {
-    /// The calibrated default profile for an interaction. Script cycle
-    /// means are tuned so that 1000 clients at a 7 s think time land the
-    /// web tier in the paper's Figure 1 range.
-    pub fn of(i: Interaction) -> InteractionProfile {
-        use Interaction::*;
-        // (script kilo-cycles mean, static html bytes, expansion)
-        let (kcycles, static_html, expansion) = match i {
-            Home => (120.0, 5_000, 0.0),
-            Register => (90.0, 2_600, 0.0),
-            RegisterUser => (300.0, 2_400, 1.0),
-            Browse => (100.0, 3_400, 0.0),
-            BrowseCategories => (280.0, 10_500, 1.0),
-            SearchItemsInCategory => (700.0, 26_000, 1.0),
-            BrowseRegions => (240.0, 8_800, 1.0),
-            BrowseCategoriesInRegion => (300.0, 10_500, 1.0),
-            SearchItemsInRegion => (780.0, 25_000, 1.0),
-            ViewItem => (480.0, 17_500, 1.0),
-            ViewUserInfo => (380.0, 11_500, 1.0),
-            ViewBidHistory => (430.0, 13_500, 1.0),
-            BuyNowAuth => (140.0, 3_600, 0.0),
-            BuyNow => (380.0, 14_000, 1.0),
-            StoreBuyNow => (430.0, 3_000, 1.0),
-            PutBidAuth => (140.0, 3_600, 0.0),
-            PutBid => (430.0, 15_500, 1.0),
-            StoreBid => (480.0, 3_000, 1.0),
-            PutCommentAuth => (140.0, 3_600, 0.0),
-            PutComment => (290.0, 12_000, 1.0),
-            StoreComment => (380.0, 3_000, 1.0),
-            AboutMeAuth => (120.0, 3_400, 0.0),
-            AboutMe => (760.0, 22_500, 1.0),
-        };
-        InteractionProfile {
-            request_bytes: Dist::Uniform {
-                lo: 280.0,
-                hi: 700.0,
-            },
-            script_cycles: Dist::Erlang {
-                k: 3,
-                mean: kcycles * 1_000.0,
-            },
-            static_html_bytes: static_html,
-            html_expansion: expansion,
-        }
+    /// The calibrated default profile for an interaction: one index
+    /// into a static table, so the request path looks it up per use
+    /// rather than carrying a copy.
+    #[inline]
+    pub fn of(i: Interaction) -> &'static InteractionProfile {
+        &PROFILES[i.index()]
     }
 
     /// Sample a request size.
+    #[inline]
     pub fn sample_request_bytes(&self, rng: &mut SimRng) -> u64 {
         self.request_bytes.sample(rng) as u64
     }
 
     /// Sample script cycles.
+    #[inline]
     pub fn sample_script_cycles(&self, rng: &mut SimRng) -> f64 {
         self.script_cycles.sample(rng)
     }
 
     /// HTML response size given total DB result bytes.
+    #[inline]
     pub fn response_bytes(&self, db_result_bytes: u64) -> u64 {
         self.static_html_bytes + (db_result_bytes as f64 * self.html_expansion) as u64
     }
@@ -230,86 +248,122 @@ impl EntityRanges {
     }
 }
 
-/// Instantiate the database queries one execution of `i` issues.
-pub fn queries_for(i: Interaction, ranges: EntityRanges, rng: &mut SimRng) -> Vec<Query> {
-    use Interaction::*;
-    match i {
-        Home | Register | Browse | BuyNowAuth | PutBidAuth | PutCommentAuth | AboutMeAuth => {
-            Vec::new() // static pages / auth forms
+/// The database queries one execution of an interaction issues, held
+/// inline (no interaction issues more than [`QueryList::CAPACITY`]) and
+/// handed out front first.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryList {
+    queries: [Query; QueryList::CAPACITY],
+    /// Index of the next query to hand out.
+    next: u8,
+    len: u8,
+}
+
+impl QueryList {
+    /// The most queries one interaction issues (`PutBid`).
+    pub const CAPACITY: usize = 3;
+
+    /// Draw the queries one execution of `i` issues, in the order it
+    /// issues them; their parameters are drawn from `rng` in that same
+    /// order.
+    pub fn draw(i: Interaction, ranges: EntityRanges, rng: &mut SimRng) -> QueryList {
+        use Interaction::*;
+        let mut list = QueryList {
+            queries: [Query::SelectCategories; QueryList::CAPACITY],
+            next: 0,
+            len: 0,
+        };
+        let mut push = |q: Query| {
+            list.queries[usize::from(list.len)] = q;
+            list.len += 1;
+        };
+        match i {
+            Home | Register | Browse | BuyNowAuth | PutBidAuth | PutCommentAuth | AboutMeAuth => {
+                // static pages / auth forms
+            }
+            RegisterUser => push(Query::RegisterUser {
+                region: ranges.region(rng),
+            }),
+            BrowseCategories | BrowseCategoriesInRegion => push(Query::SelectCategories),
+            SearchItemsInCategory => push(Query::SearchItemsByCategory {
+                category: ranges.category(rng),
+                page: (rng.f64() * rng.f64() * 5.0) as u32,
+            }),
+            BrowseRegions => push(Query::SelectRegions),
+            SearchItemsInRegion => push(Query::SearchItemsByRegion {
+                category: ranges.category(rng),
+                region: ranges.region(rng),
+                page: (rng.f64() * rng.f64() * 3.0) as u32,
+            }),
+            ViewItem => push(Query::GetItem {
+                item: ranges.item(rng),
+            }),
+            ViewUserInfo => push(Query::GetUserInfo {
+                user: ranges.user(rng),
+            }),
+            ViewBidHistory => push(Query::GetBidHistory {
+                item: ranges.item(rng),
+            }),
+            BuyNow | PutComment => {
+                push(Query::AuthUser {
+                    user: ranges.user(rng),
+                });
+                push(Query::GetItem {
+                    item: ranges.item(rng),
+                });
+            }
+            StoreBuyNow => push(Query::StoreBuyNow {
+                buyer: ranges.user(rng),
+                item: ranges.item(rng),
+            }),
+            PutBid => {
+                push(Query::AuthUser {
+                    user: ranges.user(rng),
+                });
+                push(Query::GetItem {
+                    item: ranges.item(rng),
+                });
+                push(Query::GetMaxBid {
+                    item: ranges.item(rng),
+                });
+            }
+            StoreBid => push(Query::StoreBid {
+                user: ranges.user(rng),
+                item: ranges.item(rng),
+                increment: rng.range_inclusive(50, 500) as i64,
+            }),
+            StoreComment => push(Query::StoreComment {
+                from: ranges.user(rng),
+                to: ranges.user(rng),
+                item: ranges.item(rng),
+            }),
+            AboutMe => {
+                push(Query::AuthUser {
+                    user: ranges.user(rng),
+                });
+                push(Query::AboutMe {
+                    user: ranges.user(rng),
+                });
+            }
         }
-        RegisterUser => vec![Query::RegisterUser {
-            region: ranges.region(rng),
-        }],
-        BrowseCategories => vec![Query::SelectCategories],
-        SearchItemsInCategory => vec![Query::SearchItemsByCategory {
-            category: ranges.category(rng),
-            page: (rng.f64() * rng.f64() * 5.0) as u32,
-        }],
-        BrowseRegions => vec![Query::SelectRegions],
-        BrowseCategoriesInRegion => vec![Query::SelectCategories],
-        SearchItemsInRegion => vec![Query::SearchItemsByRegion {
-            category: ranges.category(rng),
-            region: ranges.region(rng),
-            page: (rng.f64() * rng.f64() * 3.0) as u32,
-        }],
-        ViewItem => vec![Query::GetItem {
-            item: ranges.item(rng),
-        }],
-        ViewUserInfo => vec![Query::GetUserInfo {
-            user: ranges.user(rng),
-        }],
-        ViewBidHistory => vec![Query::GetBidHistory {
-            item: ranges.item(rng),
-        }],
-        BuyNow => vec![
-            Query::AuthUser {
-                user: ranges.user(rng),
-            },
-            Query::GetItem {
-                item: ranges.item(rng),
-            },
-        ],
-        StoreBuyNow => vec![Query::StoreBuyNow {
-            buyer: ranges.user(rng),
-            item: ranges.item(rng),
-        }],
-        PutBid => vec![
-            Query::AuthUser {
-                user: ranges.user(rng),
-            },
-            Query::GetItem {
-                item: ranges.item(rng),
-            },
-            Query::GetMaxBid {
-                item: ranges.item(rng),
-            },
-        ],
-        StoreBid => vec![Query::StoreBid {
-            user: ranges.user(rng),
-            item: ranges.item(rng),
-            increment: rng.range_inclusive(50, 500) as i64,
-        }],
-        PutComment => vec![
-            Query::AuthUser {
-                user: ranges.user(rng),
-            },
-            Query::GetItem {
-                item: ranges.item(rng),
-            },
-        ],
-        StoreComment => vec![Query::StoreComment {
-            from: ranges.user(rng),
-            to: ranges.user(rng),
-            item: ranges.item(rng),
-        }],
-        AboutMe => vec![
-            Query::AuthUser {
-                user: ranges.user(rng),
-            },
-            Query::AboutMe {
-                user: ranges.user(rng),
-            },
-        ],
+        list
+    }
+
+    /// The queries not yet handed out, in order.
+    pub fn as_slice(&self) -> &[Query] {
+        &self.queries[usize::from(self.next)..usize::from(self.len)]
+    }
+
+    /// Whether every query has been handed out.
+    pub fn is_empty(&self) -> bool {
+        self.next == self.len
+    }
+
+    /// Hand out the next query.
+    pub fn pop_front(&mut self) -> Option<Query> {
+        let q = self.as_slice().first().copied()?;
+        self.next += 1;
+        Some(q)
     }
 }
 
@@ -344,14 +398,30 @@ mod tests {
     fn write_interactions_issue_write_queries() {
         let mut rng = SimRng::new(1);
         for &i in &Interaction::ALL {
-            let qs = queries_for(i, ranges(), &mut rng);
-            let any_write = qs.iter().any(|q| q.is_write());
+            let qs = QueryList::draw(i, ranges(), &mut rng);
+            let any_write = qs.as_slice().iter().any(|q| q.is_write());
             assert_eq!(
                 any_write,
                 i.is_write(),
                 "{i:?} write flag vs queries mismatch"
             );
         }
+    }
+
+    #[test]
+    fn query_lists_hand_out_queries_front_first() {
+        let mut rng = SimRng::new(4);
+        let mut list = QueryList::draw(Interaction::PutBid, ranges(), &mut rng);
+        assert_eq!(list.as_slice().len(), QueryList::CAPACITY);
+        let first = list.as_slice()[0];
+        assert!(matches!(first, Query::AuthUser { .. }));
+        assert_eq!(list.pop_front(), Some(first));
+        assert!(matches!(list.pop_front(), Some(Query::GetItem { .. })));
+        assert!(matches!(list.pop_front(), Some(Query::GetMaxBid { .. })));
+        assert!(list.is_empty());
+        assert_eq!(list.pop_front(), None);
+        let home = QueryList::draw(Interaction::Home, ranges(), &mut rng);
+        assert!(home.is_empty());
     }
 
     #[test]
@@ -381,7 +451,7 @@ mod tests {
         let r = ranges();
         for _ in 0..500 {
             for &i in &Interaction::ALL {
-                for q in queries_for(i, r, &mut rng) {
+                for &q in QueryList::draw(i, r, &mut rng).as_slice() {
                     match q {
                         Query::GetItem { item }
                         | Query::GetBidHistory { item }

@@ -39,7 +39,7 @@ pub mod wire;
 pub use client::{ClientPopulation, RetryDecision, RetryPolicy, Session, WorkloadMix};
 pub use cohort::ClientCohort;
 pub use db::{Database, DbWork, MySqlConfig, MySqlServer, Query};
-pub use interactions::{queries_for, EntityRanges, Interaction, InteractionProfile};
+pub use interactions::{EntityRanges, Interaction, InteractionProfile, QueryList};
 pub use schema::{DbScale, ItemId, UserId};
 pub use transition::{Mix, NextAction, TransitionTable};
 pub use webserver::{WebAppServer, WebConfig};

@@ -86,8 +86,13 @@ struct Frame {
     page: PageRef,
     prev: u32,
     next: u32,
+    /// The last [`BufferPool::read_all`] batch that moved this frame.
+    stamp: u32,
     dirty: bool,
 }
+
+// The batch stamp rides in the padding the frame already had.
+const _: () = assert!(std::mem::size_of::<Frame>() == 32);
 
 /// List sentinel and fresh-slot placeholder; its page is never looked up.
 const SENTINEL: Frame = Frame {
@@ -97,6 +102,7 @@ const SENTINEL: Frame = Frame {
     },
     prev: 0,
     next: 0,
+    stamp: 0,
     dirty: false,
 };
 
@@ -124,6 +130,8 @@ pub struct BufferPool {
     /// holds data pages and region 1 index pages.
     page_table: [Vec<u32>; 2 * TableId::ALL.len()],
     resident: usize,
+    /// Stamp of the last all-hit [`BufferPool::read_all`] batch.
+    stamp: u32,
     hits: u64,
     misses: u64,
     dirty_evictions: u64,
@@ -140,6 +148,7 @@ impl BufferPool {
             frames,
             page_table: Default::default(),
             resident: 0,
+            stamp: 0,
             hits: 0,
             misses: 0,
             dirty_evictions: 0,
@@ -195,6 +204,71 @@ impl BufferPool {
         access
     }
 
+    /// Read-touch every page of `pages` in order, exactly as
+    /// `access(page, false)` on each one in turn would, and pass each
+    /// outcome to `each` in that order.
+    ///
+    /// When every page is resident, every touch is a hit and nothing is
+    /// evicted, so the final recency order is the untouched pages
+    /// followed by the touched ones in order of their last touch. That
+    /// order is then made directly: `hits` grows by the list's length
+    /// and each distinct page moves to the MRU end once, found by one
+    /// backward pass that stamps the frames it has moved. Otherwise the
+    /// list goes through [`BufferPool::access`] touch by touch.
+    pub fn read_all(&mut self, pages: &[PageRef], mut each: impl FnMut(Access)) {
+        if !pages.iter().all(|&page| self.slot_of(page) != 0) {
+            for &page in pages {
+                each(self.access(page, false));
+            }
+            return;
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.restamp();
+        }
+        self.hits += pages.len() as u64;
+        // Each newly met page goes just before the one met before it,
+        // so the page touched last ends at the MRU end.
+        let mut before = 0;
+        for &page in pages.iter().rev() {
+            let slot = self.slot_of(page);
+            let frame = &mut self.frames[slot as usize];
+            if frame.stamp == self.stamp {
+                continue;
+            }
+            frame.stamp = self.stamp;
+            self.unlink(slot);
+            self.link_before(slot, before);
+            before = slot;
+        }
+        for _ in pages {
+            each(Access::Hit);
+        }
+    }
+
+    /// Clear every frame's stamp once the batch stamp wraps, so no frame
+    /// carries a stamp from 2^32 batches ago.
+    #[cold]
+    fn restamp(&mut self) {
+        for frame in &mut self.frames {
+            frame.stamp = 0;
+        }
+        self.stamp = 1;
+    }
+
+    /// The slot holding `page`, or 0 when it is not resident. Changes
+    /// nothing.
+    fn slot_of(&self, page: PageRef) -> u32 {
+        let index = page.page >= INDEX_PAGE_BASE;
+        let n = page.page - if index { INDEX_PAGE_BASE } else { 0 };
+        let cells = &self.page_table[2 * page.table as usize + usize::from(index)];
+        usize::try_from(n)
+            .ok()
+            .and_then(|n| cells.get(n))
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// `page`'s page-table cell, its array grown to reach it on first
     /// touch.
     fn cell(&mut self, page: PageRef) -> &mut u32 {
@@ -229,6 +303,16 @@ impl BufferPool {
         (self.hits, self.misses, self.dirty_evictions)
     }
 
+    /// Resident pages from least to most recently used.
+    pub fn recency(&self) -> impl Iterator<Item = PageRef> + '_ {
+        let mut slot = self.frames[0].next;
+        std::iter::from_fn(move || {
+            let frame = self.frames.get(slot as usize).filter(|_| slot != 0)?;
+            slot = frame.next;
+            Some(frame.page)
+        })
+    }
+
     fn unlink(&mut self, slot: u32) {
         let Frame { prev, next, .. } = self.frames[slot as usize];
         self.frames[prev as usize].next = next;
@@ -236,11 +320,17 @@ impl BufferPool {
     }
 
     fn push_mru(&mut self, slot: u32) {
-        let mru = self.frames[0].prev;
-        self.frames[slot as usize].prev = mru;
-        self.frames[slot as usize].next = 0;
-        self.frames[mru as usize].next = slot;
-        self.frames[0].prev = slot;
+        self.link_before(slot, 0);
+    }
+
+    /// Link the unlinked `slot` just before `at` in recency order (at
+    /// the MRU end when `at` is the sentinel).
+    fn link_before(&mut self, slot: u32, at: u32) {
+        let prev = self.frames[at as usize].prev;
+        self.frames[slot as usize].prev = prev;
+        self.frames[slot as usize].next = at;
+        self.frames[prev as usize].next = slot;
+        self.frames[at as usize].prev = slot;
     }
 }
 
@@ -429,6 +519,56 @@ mod tests {
         assert_eq!(bp.access(index, false), Access::Hit);
         assert_eq!(bp.stats(), (1, 3, 1));
         assert_eq!(bp.resident_pages(), 1);
+    }
+
+    /// `pages` read-touched once by `read_all` and once touch by touch
+    /// on a pool of `pages`' own history: the outcomes, counters and
+    /// recency orders must agree.
+    fn assert_batch_matches_touches(
+        batched: &mut BufferPool,
+        touched: &mut BufferPool,
+        pages: &[u64],
+    ) {
+        let pages: Vec<PageRef> = pages.iter().map(|&p| pref(p)).collect();
+        let mut got = Vec::new();
+        batched.read_all(&pages, |a| got.push(a));
+        let want: Vec<Access> = pages.iter().map(|&p| touched.access(p, false)).collect();
+        assert_eq!(got, want);
+        assert_eq!(batched.stats(), touched.stats());
+        assert!(batched.recency().eq(touched.recency()));
+    }
+
+    #[test]
+    fn batch_moves_pages_in_last_touch_order() {
+        let mut batched = BufferPool::new(8 * PAGE_BYTES);
+        let mut touched = BufferPool::new(8 * PAGE_BYTES);
+        // Cold: the first list misses and goes touch by touch.
+        assert_batch_matches_touches(&mut batched, &mut touched, &[1, 2, 3, 4, 5]);
+        // Warm: all hits, so 3 then 1 then 2 end at the MRU end.
+        assert_batch_matches_touches(&mut batched, &mut touched, &[2, 1, 2, 3, 1, 2]);
+        let order: Vec<u64> = batched.recency().map(|p| p.page).collect();
+        assert_eq!(order, [4, 5, 3, 1, 2]);
+        assert_eq!(batched.stats(), (6, 5, 0));
+    }
+
+    #[test]
+    fn batch_stamp_wraps_without_stale_matches() {
+        let mut batched = BufferPool::new(8 * PAGE_BYTES);
+        let mut touched = BufferPool::new(8 * PAGE_BYTES);
+        assert_batch_matches_touches(&mut batched, &mut touched, &[1, 2, 3]);
+        // Page 1 carries stamp 1 from this batch ...
+        batched.stamp = 0;
+        assert_batch_matches_touches(&mut batched, &mut touched, &[1]);
+        assert_eq!(batched.frames[batched.slot_of(pref(1)) as usize].stamp, 1);
+        // ... and the stamp then wraps to 1 again: page 1 must still move
+        // (as must fresh pages, stamped 0, had the stamp wrapped to 0).
+        batched.stamp = u32::MAX;
+        assert_batch_matches_touches(&mut batched, &mut touched, &[2, 1, 3]);
+        assert_eq!(batched.stamp, 1);
+        let order: Vec<u64> = batched.recency().map(|p| p.page).collect();
+        assert_eq!(order, [2, 1, 3]);
+        assert_batch_matches_touches(&mut batched, &mut touched, &[3, 2]);
+        assert_eq!(batched.stamp, 2);
     }
 
     #[test]

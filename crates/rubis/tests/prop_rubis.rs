@@ -85,7 +85,62 @@ impl ReferenceLru {
     }
 }
 
+/// One query's read touches shaped like a region search: the items
+/// index root and one of three index leaves, then an item page and its
+/// seller's user page per row examined, drawn from `universe` hot pages
+/// so a list of up to 900 touches repeats most of them. Every list
+/// draws from the bottom of the same page ranges, so later lists find
+/// earlier pages resident and take the all-hit path.
+fn region_search_touches(len: usize, universe: u64, seed: u64) -> Vec<PageRef> {
+    let mut rng = SimRng::new(seed);
+    let index = |page| PageRef {
+        table: TableId::Items,
+        page: INDEX_PAGE_BASE + page,
+    };
+    let mut pages = vec![index(0), index(1 + seed % 3)];
+    while pages.len() < len {
+        pages.push(PageRef {
+            table: TableId::Items,
+            page: rng.below(universe),
+        });
+        pages.push(PageRef {
+            table: TableId::Users,
+            page: rng.below(universe / 2 + 1),
+        });
+    }
+    pages.truncate(len);
+    pages
+}
+
 proptest! {
+    /// A query's whole read-touch list through `read_all` does exactly
+    /// what the reference LRU does touch by touch: the same `Access` on
+    /// every touch in order (and so the same I/O), the same counters
+    /// and the same recency order after every query. Capacities of
+    /// 1–64 pages let lists with misses take the per-touch fallback,
+    /// and dirty writes between queries make some of those misses
+    /// write a victim back.
+    #[test]
+    fn buffer_pool_batches_match_reference_lru(
+        queries in proptest::collection::vec((1usize..901, 1u64..41, any::<u64>(), 0u64..4), 1..9),
+        cap_pages in 1u64..65,
+    ) {
+        let mut bp = BufferPool::new(cap_pages * PAGE_BYTES);
+        let mut reference = ReferenceLru::new(cap_pages as usize);
+        for &(len, universe, seed, writes) in &queries {
+            let pages = region_search_touches(len, universe, seed);
+            let mut got = Vec::with_capacity(len);
+            bp.read_all(&pages, |access| got.push(access));
+            let want: Vec<Access> = pages.iter().map(|&p| reference.access(p, false)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(bp.stats(), reference.stats);
+            prop_assert!(bp.recency().eq(reference.pages.iter().map(|&(p, _)| p)));
+            for &page in pages.iter().take(writes as usize) {
+                prop_assert_eq!(bp.access(page, true), reference.access(page, true));
+            }
+        }
+    }
+
     /// The O(1) pool evicts exactly as the reference LRU does: the same
     /// outcome on every access, the same counters and residency. Pages
     /// come from all seven tables: data pages hot below 32 or sparse up

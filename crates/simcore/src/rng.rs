@@ -101,6 +101,7 @@ impl SimRng {
     /// Uniform integer in `[0, bound)` using Lemire's rejection method.
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         loop {
@@ -124,6 +125,7 @@ impl SimRng {
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p.clamp(0.0, 1.0)
     }

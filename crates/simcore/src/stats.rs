@@ -365,16 +365,19 @@ impl Counter {
     }
 
     /// Add to the counter.
+    #[inline]
     pub fn add(&mut self, n: u64) {
         self.total = self.total.saturating_add(n);
     }
 
     /// Cumulative value.
+    #[inline]
     pub fn total(&self) -> u64 {
         self.total
     }
 
     /// Value accumulated since the previous `take_delta` call.
+    #[inline]
     pub fn take_delta(&mut self) -> u64 {
         let d = self.total - self.last_read;
         self.last_read = self.total;
@@ -382,6 +385,7 @@ impl Counter {
     }
 
     /// Peek at the delta without consuming it.
+    #[inline]
     pub fn peek_delta(&self) -> u64 {
         self.total - self.last_read
     }
@@ -418,6 +422,7 @@ impl LogHistogram {
     }
 
     /// Record one observation.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         let idx = self.bounds.partition_point(|&b| b <= x);
         self.counts[idx] += 1;

@@ -88,6 +88,7 @@ impl SimTime {
     /// Construct from fractional seconds (rounded to the nearest nanosecond).
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid SimTime seconds: {s}");
         SimTime(round_u64(s * 1e9))
@@ -99,17 +100,20 @@ impl SimTime {
     }
 
     /// Time as fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Duration elapsed since `earlier`. Saturates to zero if `earlier` is
     /// in the future.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Saturating addition of a duration.
+    #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
@@ -144,6 +148,7 @@ impl SimDuration {
     /// Construct from fractional seconds (rounded to the nearest nanosecond).
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(
             s.is_finite() && s >= 0.0,
@@ -158,27 +163,32 @@ impl SimDuration {
     }
 
     /// Duration as fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Duration as fractional milliseconds.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Multiply by a non-negative scalar, rounding to the nearest nanosecond.
+    #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "invalid duration scale: {k}");
         SimDuration(round_u64(self.0 as f64 * k))
     }
 
     /// Integer division into `n` equal parts (truncating).
+    #[inline]
     pub fn div_by(self, n: u64) -> SimDuration {
         SimDuration(self.0 / n.max(1))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -186,12 +196,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(d.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, d: SimDuration) {
         *self = *self + d;
     }
@@ -199,6 +211,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, other: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -210,12 +223,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(other.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimDuration {
+    #[inline]
     fn add_assign(&mut self, other: SimDuration) {
         *self = *self + other;
     }

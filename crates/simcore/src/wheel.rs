@@ -80,6 +80,13 @@ pub struct TimerWheel {
     buckets: Vec<Bucket>,
     arm_seq: u64,
     pending: usize,
+    /// Buffers of emptied buckets, their capacity kept for the next
+    /// bucket that needs one: the ring then holds about as many buffers
+    /// as buckets are pending at once, not one per bucket ever armed, so
+    /// it stops allocating once they have grown rather than once every
+    /// slot of the ring has been used.
+    spare_runs: Vec<Vec<Entry>>,
+    spare_late: Vec<BinaryHeap<Reverse<Entry>>>,
 }
 
 impl TimerWheel {
@@ -96,6 +103,8 @@ impl TimerWheel {
             buckets,
             arm_seq: 0,
             pending: 0,
+            spare_runs: Vec::new(),
+            spare_late: Vec::new(),
         }
     }
 
@@ -122,6 +131,7 @@ impl TimerWheel {
     /// engine event at `deadline` for `slot` — i.e. the new entry is due
     /// strictly before anything already scheduled for its bucket.
     /// Returns `None` when an already-armed engine event covers it.
+    #[inline]
     pub fn arm(&mut self, deadline: SimTime, client: u32, epoch: u64) -> Option<(usize, SimTime)> {
         let deadline_ns = deadline.as_nanos();
         let slot = self.slot_of(deadline_ns);
@@ -135,8 +145,14 @@ impl TimerWheel {
         };
         let bucket = &mut self.buckets[slot];
         if bucket.sorted && bucket.run.last().is_some_and(|tail| *tail < entry) {
+            if bucket.late.capacity() == 0 {
+                bucket.late = self.spare_late.pop().unwrap_or_default();
+            }
             bucket.late.push(Reverse(entry));
         } else {
+            if bucket.run.capacity() == 0 {
+                bucket.run = self.spare_runs.pop().unwrap_or_default();
+            }
             bucket.run.push(entry);
         }
         self.pending += 1;
@@ -168,6 +184,7 @@ impl TimerWheel {
     /// Pop the next entry of `slot` due exactly at `now`, in
     /// `(deadline, arm_seq)` order. `None` once the bucket has nothing
     /// due at `now`.
+    #[inline]
     pub fn pop_due(&mut self, slot: usize, now: SimTime) -> Option<(u32, u64)> {
         let bucket = self.sorted_bucket(slot);
         let (head, in_run) = bucket.head()?;
@@ -181,15 +198,21 @@ impl TimerWheel {
         }
         if bucket.run.is_empty() && bucket.late.is_empty() {
             bucket.sorted = false;
-            // Stragglers are rare: give their buffer back rather than
-            // hold one per bucket for the whole ring.
-            bucket.late = BinaryHeap::new();
+            let run = std::mem::take(&mut bucket.run);
+            let late = std::mem::take(&mut bucket.late);
+            if run.capacity() > 0 {
+                self.spare_runs.push(run);
+            }
+            if late.capacity() > 0 {
+                self.spare_late.push(late);
+            }
         }
         self.pending -= 1;
         Some((head.client, head.epoch))
     }
 
     /// Earliest remaining deadline in `slot`, if any.
+    #[inline]
     pub fn next_deadline(&mut self, slot: usize) -> Option<SimTime> {
         let (head, _) = self.sorted_bucket(slot).head()?;
         Some(SimTime::from_nanos(head.deadline_ns))
