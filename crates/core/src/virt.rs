@@ -549,6 +549,36 @@ mod tests {
     }
 
     #[test]
+    fn oversubscribed_host_starves_only_the_over_guests() {
+        // Eight background guests at a full VCPU each, plus dom0 and the
+        // two RUBiS guests, ask for more than the eight cores.
+        let mut p = VirtPlatform::new(
+            ServerSpec::hp_proliant(),
+            VirtOptions {
+                background_vms: 8,
+                background_util: 1.0,
+                ..VirtOptions::default()
+            },
+            SimRng::new(1),
+        );
+        let mut out = Vec::new();
+        for i in 0..100 {
+            p.submit_work(Tier::Web, WorkToken(i), 2.0e6);
+            p.tick(
+                SimTime::from_millis(i * 10),
+                SimDuration::from_millis(10),
+                &mut out,
+            );
+        }
+        assert_eq!(out.len(), 100, "the web guest finished its work");
+        let hv = p.hypervisor();
+        for &bg in &p.background {
+            assert!(hv.domain(bg).steal_ns.total() > 0, "{bg:?} never starved");
+        }
+        assert_eq!(hv.domain(p.web_dom).steal_ns.total(), 0);
+    }
+
+    #[test]
     fn labels_are_stable() {
         assert_eq!(VirtPlatform::WEB_HOST, "web-vm");
         assert_eq!(VirtPlatform::DB_HOST, "mysql-vm");

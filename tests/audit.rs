@@ -46,6 +46,24 @@ fn non_virtualized_run_is_audit_clean() {
 }
 
 #[test]
+fn contended_virtualized_run_is_audit_clean() {
+    // Eight guests at full VCPU load oversubscribe the host, so every
+    // quantum runs the credit scheduler's water-fill.
+    audit::enable();
+    let mut cfg = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
+    cfg.background_vms = 8;
+    cfg.background_util = 1.0;
+    run(cfg);
+    let report = audit::take_report();
+    assert!(
+        report.is_clean(),
+        "invariant violations: {}",
+        report.summary()
+    );
+    assert_eq!(report.checks, 757_222);
+}
+
+#[test]
 fn auditor_records_a_seeded_violation() {
     // Sanity-check the harness itself: a failing check must surface,
     // so the clean runs above are meaningful.

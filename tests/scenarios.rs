@@ -13,7 +13,7 @@ use cloudchar_core::{
     run, run_fleet, run_seeds_jobs, scenario, scenario_report, Deployment, ExperimentConfig,
     ExperimentResult, FleetConfig, SCENARIOS,
 };
-use cloudchar_monitor::catalog;
+use cloudchar_monitor::{catalog, Source};
 use cloudchar_rubis::WorkloadMix;
 use cloudchar_simcore::{FaultPlan, SimDuration};
 
@@ -230,5 +230,44 @@ fn scenario_fingerprints_match_goldens() {
     assert_eq!(
         got, 0xb7f0_ef33_24f9_13b7,
         "background_vms = 2: fingerprint {got:#x} drifted"
+    );
+}
+
+/// Eight background guests each demanding a full VCPU (`fast`
+/// browsing, seed 42). With dom0 and the two RUBiS guests that asks for
+/// more than the host's eight cores every quantum, so this is the one
+/// pinned run whose quanta go through the credit scheduler's
+/// water-fill rather than granting every demand in full.
+fn contended_cfg() -> ExperimentConfig {
+    let mut c = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
+    c.seed = 42;
+    c.background_vms = 8;
+    c.background_util = 1.0;
+    c.validate().expect("contended config validates");
+    c
+}
+
+#[test]
+fn contended_host_fingerprint_matches_golden() {
+    let r = run(contended_cfg());
+    // The background guests overdraw their credit and fall to OVER; the
+    // lightly loaded RUBiS guests stay UNDER and are served first, so
+    // the oversubscribed host steals nothing from them (the starved
+    // background guests are checked in `virt.rs`'s unit tests).
+    let steal = catalog()
+        .find("%steal", Source::VmSysstat)
+        .expect("%steal is in the catalog");
+    for host in ["web-vm", "mysql-vm"] {
+        let series = r.store.get(host, steal).expect("guest %steal series");
+        assert!(!series.values.is_empty());
+        assert!(
+            series.values.iter().all(|&v| v == 0.0),
+            "{host}: an UNDER guest was starved"
+        );
+    }
+    let got = fingerprint(&r);
+    assert_eq!(
+        got, 0xa114_6b4d_b816_9322,
+        "background_vms = 8 at full load: fingerprint {got:#x} drifted"
     );
 }
