@@ -5,6 +5,8 @@
 //! single pass after one warm-up call, and a pass of a few hundred
 //! nanoseconds would be dominated by first-call effects.
 //!
+//! `--quantum` runs only the `xen/quantum_tick` group.
+//!
 //! `--smoke` runs a crowd-shaped buffer-pool touch list through
 //! `BufferPool::read_all` and through the per-touch `access` loop, and
 //! exits non-zero unless both leave equal counters and recency order
@@ -16,13 +18,17 @@ use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
 
+use cloudchar_hw::{ServerSpec, WorkToken};
 use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query, QueryResult};
 use cloudchar_rubis::interactions::EntityRanges;
 use cloudchar_rubis::schema::{DbScale, ItemId};
 use cloudchar_rubis::storage::{Access, BufferPool, PageRef, TableId, PAGE_BYTES};
 use cloudchar_rubis::{NextAction, QueryList, TransitionTable};
 use cloudchar_simcore::{Dist, Engine, Sample, SimDuration, SimRng, SimTime};
-use cloudchar_xen::{CreditScheduler, Demand, DomId, SchedParams};
+use cloudchar_xen::{
+    Completion, CreditScheduler, Demand, DomId, DomainConfig, Hypervisor, OverheadModel,
+    SchedParams,
+};
 
 fn count_event(_: &mut Engine<u64>, count: &mut u64, _: u64) {
     *count += 1;
@@ -74,6 +80,78 @@ fn bench_scheduler(c: &mut Criterion) {
             black_box(out.len())
         })
     });
+    group.finish();
+}
+
+/// A Xen host fed like the paper's testbed: dom0, the web and MySQL
+/// guests, and `busy` background guests that each ask for a full VCPU
+/// every quantum.
+struct QuantumHost {
+    hv: Hypervisor,
+    web: DomId,
+    db: DomId,
+    busy: Vec<DomId>,
+    next_token: u64,
+    done: Vec<Completion>,
+}
+
+impl QuantumHost {
+    fn new(busy: u32) -> Self {
+        let mut hv = Hypervisor::new(
+            ServerSpec::hp_proliant(),
+            2 * cloudchar_hw::GIB,
+            OverheadModel::default(),
+            SimRng::new(7),
+        );
+        let web = hv.create_domain(DomainConfig::paper_vm("web-app"));
+        let db = hv.create_domain(DomainConfig::paper_vm("mysql"));
+        let busy = (0..busy)
+            .map(|i| hv.create_domain(DomainConfig::paper_vm(&format!("bg-{i}"))))
+            .collect();
+        QuantumHost {
+            hv,
+            web,
+            db,
+            busy,
+            next_token: 0,
+            done: Vec::new(),
+        }
+    }
+
+    /// One 10 ms quantum: a request's worth of work for each RUBiS
+    /// guest (it completes within the quantum), a full VCPU of demand
+    /// for each busy guest, then the tick.
+    fn quantum(&mut self) -> usize {
+        let dt = SimDuration::from_millis(10);
+        self.hv
+            .submit_guest_work(self.web, WorkToken(self.next_token), 3.0e6);
+        self.hv
+            .submit_guest_work(self.db, WorkToken(self.next_token + 1), 2.0e6);
+        self.next_token += 2;
+        let full_vcpu = 2.8e9 * dt.as_secs_f64();
+        for &dom in &self.busy {
+            self.hv.domain_mut(dom).add_overhead_cycles(full_vcpu);
+        }
+        self.done.clear();
+        self.hv.quantum_tick(dt, &mut self.done);
+        self.done.len()
+    }
+}
+
+/// ns per Xen scheduling quantum (work submission included) for the
+/// paper's host, whose demands always fit the machine, and for eight
+/// busy background guests on top, which oversubscribe its eight cores
+/// every quantum.
+fn bench_quantum_tick(c: &mut Criterion) {
+    let mut group = c.benchmark_group("xen/quantum_tick");
+    group.sample_size(200_000);
+    for (name, busy) in [("paper_guests", 0), ("eight_busy_guests", 8)] {
+        let mut host = QuantumHost::new(busy);
+        for _ in 0..1_000 {
+            host.quantum();
+        }
+        group.bench_function(name, |b| b.iter(|| host.quantum()));
+    }
     group.finish();
 }
 
@@ -342,6 +420,7 @@ criterion_group!(
     benches,
     bench_engine,
     bench_scheduler,
+    bench_quantum_tick,
     bench_buffer_pool,
     bench_query_touch,
     bench_db_query,
@@ -353,6 +432,9 @@ criterion_group!(
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         smoke();
+    } else if std::env::args().any(|a| a == "--quantum") {
+        let mut c = Criterion::default();
+        bench_quantum_tick(&mut c);
     } else {
         benches();
     }

@@ -58,8 +58,6 @@ pub struct VirtPlatform {
     /// Configured credit-scheduler cap, restored when a cap fault clears.
     base_cap_percent: Option<u32>,
     rng: SimRng,
-    /// Completions buffer reused across ticks.
-    scratch: Vec<cloudchar_xen::Completion>,
 }
 
 impl VirtPlatform {
@@ -99,7 +97,6 @@ impl VirtPlatform {
             background_iops: options.background_iops.max(0.0),
             base_cap_percent: options.vm_cap_percent,
             rng: platform_rng,
-            scratch: Vec::new(),
         }
     }
 
@@ -152,18 +149,20 @@ impl VirtPlatform {
                 }
             }
         }
-        self.scratch.clear();
-        self.hv.quantum_tick(dt, &mut self.scratch);
-        for c in &self.scratch {
-            let tier = if c.dom == self.web_dom {
+        // Completed tokens arrive grouped by domain, so each group is
+        // mapped to its tier once; dom0 and the background guests have
+        // no tokened app work.
+        let (web_dom, db_dom) = (self.web_dom, self.db_dom);
+        self.hv.quantum_tick_each(dt, |dom, tokens| {
+            let tier = if dom == web_dom {
                 Tier::Web
-            } else if c.dom == self.db_dom {
+            } else if dom == db_dom {
                 Tier::Db
             } else {
-                continue; // dom0 has no tokened app work
+                return;
             };
-            out.push((tier, c.token));
-        }
+            out.extend(tokens.iter().map(|&token| (tier, token)));
+        });
     }
 
     /// Guest disk I/O through the split driver.

@@ -20,7 +20,7 @@
 
 use crate::domain::{DomId, Domain, DomainConfig};
 use crate::overhead::OverheadModel;
-use crate::sched::{Allocation, CreditScheduler, Demand, SchedParams};
+use crate::sched::{CreditScheduler, Demand, SchedParams};
 use cloudchar_hw::memory::Bytes;
 use cloudchar_hw::server::{PhysicalServer, ServerSpec};
 use cloudchar_hw::{IoKind, IoRequest, WorkToken};
@@ -74,9 +74,7 @@ pub struct Hypervisor {
     /// Housekeeping of one quantum, derived from its length, the domain
     /// count, the starvation load and the overhead model.
     consts: QuantumConsts,
-    /// Per-quantum buffers reused by [`Hypervisor::quantum_tick`].
-    demands: Vec<Demand>,
-    allocations: Vec<Allocation>,
+    /// Completed-token buffer reused by [`Hypervisor::quantum_tick_each`].
     tokens: Vec<WorkToken>,
 }
 
@@ -118,6 +116,16 @@ impl QuantumConsts {
     }
 }
 
+/// `x.ceil() as u64` for `x` in `[0, 2⁶³)`, without the library call
+/// `f64::ceil` compiles to on baseline x86-64: truncate, then add one
+/// when the truncation dropped a fraction.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    debug_assert!((0.0..9_223_372_036_854_775_808.0).contains(&x), "{x}");
+    let t = x as i64;
+    t as u64 + u64::from((t as f64) < x)
+}
+
 impl Hypervisor {
     /// Install a hypervisor on a host. `dom0_memory` is the memory
     /// reservation of the driver domain.
@@ -151,8 +159,6 @@ impl Hypervisor {
             quantum,
             starve_core_util: 0.0,
             consts: QuantumConsts::default(),
-            demands: Vec::new(),
-            allocations: Vec::new(),
             tokens: Vec::new(),
         };
         hv.consts = QuantumConsts::new(quantum, &hv);
@@ -283,6 +289,19 @@ impl Hypervisor {
     /// Run one scheduling quantum of length `dt`. Completed application
     /// work tokens are appended to `completions`.
     pub fn quantum_tick(&mut self, dt: SimDuration, completions: &mut Vec<Completion>) {
+        self.quantum_tick_each(dt, |dom, tokens| {
+            completions.extend(tokens.iter().map(|&token| Completion { dom, token }));
+        });
+    }
+
+    /// Run one scheduling quantum of length `dt`, handing each domain's
+    /// completed application work tokens to `done`, domain by domain in
+    /// id order (domains that completed nothing are not called).
+    pub fn quantum_tick_each(
+        &mut self,
+        dt: SimDuration,
+        mut done: impl FnMut(DomId, &[WorkToken]),
+    ) {
         if dt != self.consts.dt {
             self.consts = QuantumConsts::new(dt, self);
         }
@@ -307,49 +326,56 @@ impl Hypervisor {
         }
         self.dom0_mut().add_overhead_cycles(dom0_base);
 
-        // 3. Collect demands (core-seconds) in id order, as the
-        // scheduler requires. Crashed domains hold no VCPUs and are
-        // skipped entirely.
-        self.demands.clear();
-        self.demands
-            .extend(self.domains.iter().filter(|d| !d.down).map(|d| Demand {
+        // 3. Plan the quantum on the demands (core-seconds) in id order,
+        // as the scheduler requires. Crashed domains hold no VCPUs and
+        // are skipped entirely.
+        let quantum = self.sched.plan(
+            dt_secs,
+            self.domains.iter().filter(|d| !d.down).map(|d| Demand {
                 dom: d.id,
                 core_secs: d.demand_cycles() / hz,
-            }));
+            }),
+        );
 
-        // 4. Allocate and execute.
-        self.sched
-            .allocate_into(dt_secs, &self.demands, &mut self.allocations);
+        // 4. Run each domain from its grant to its completions as the
+        // scheduler hands the grant out. Counters are charged only with
+        // what is nonzero: rounding an exact zero and adding it changes
+        // nothing.
+        let accounting_scale = self.overhead.guest_cycle_accounting_scale - 1.0;
+        let (domains, host, tokens) = (&mut self.domains, &mut self.host, &mut self.tokens);
         let mut executed_cycles_total = 0.0;
-        for alloc in &self.allocations {
+        quantum.grant(|alloc| {
             if alloc.core_secs <= 0.0 && alloc.starved_core_secs <= 0.0 {
-                continue;
+                return;
             }
-            let dom = &mut self.domains[alloc.dom.0 as usize];
+            let dom = &mut domains[alloc.dom.0 as usize];
             let budget_cycles = alloc.core_secs * hz;
-            let (executed, executed_cycles) = dom.execute(budget_cycles, &mut self.tokens);
-            // Guest sysstat over-reports cycle usage (steal-time
-            // misattribution); dom0's accounting is physical.
-            if !alloc.dom.is_dom0() {
-                let extra = executed * (self.overhead.guest_cycle_accounting_scale - 1.0);
-                dom.virt_cycles.add(round_u64(extra));
+            let (executed, executed_cycles) = dom.execute(budget_cycles, tokens);
+            if alloc.core_secs > 0.0 {
+                dom.run_ns.add(round_u64(alloc.core_secs * 1e9));
             }
-            dom.run_ns.add(round_u64(alloc.core_secs * 1e9));
-            dom.steal_ns.add(round_u64(alloc.starved_core_secs * 1e9));
+            if alloc.starved_core_secs > 0.0 {
+                dom.steal_ns.add(round_u64(alloc.starved_core_secs * 1e9));
+            }
             if executed > 0.0 {
+                // Guest sysstat over-reports cycle usage (steal-time
+                // misattribution); dom0's accounting is physical.
+                if !alloc.dom.is_dom0() {
+                    dom.virt_cycles.add(round_u64(executed * accounting_scale));
+                }
                 // Roughly one context switch per quantum per busy VCPU.
                 dom.kernel
                     .context_switches
-                    .add((alloc.core_secs / dt_secs).ceil().max(1.0) as u64);
+                    .add(ceil_u64(alloc.core_secs / dt_secs).max(1));
                 dom.kernel.interrupts.add(1); // timer tick
+                host.cycles.add(executed_cycles);
+                executed_cycles_total += executed;
             }
-            self.host.cycles.add(executed_cycles);
-            executed_cycles_total += executed;
-            completions.extend(self.tokens.drain(..).map(|token| Completion {
-                dom: alloc.dom,
-                token,
-            }));
-        }
+            if !tokens.is_empty() {
+                done(alloc.dom, tokens);
+                tokens.clear();
+            }
+        });
 
         if audit::is_enabled() {
             // Guest execution is bounded by the machine: the sum of what
@@ -533,6 +559,33 @@ mod tests {
             OverheadModel::default(),
             SimRng::new(1),
         )
+    }
+
+    #[test]
+    fn ceil_u64_matches_f64_ceil() {
+        let mut xs = vec![
+            0.0,
+            1e-300,
+            0.25,
+            0.5,
+            1.0,
+            1.5,
+            2.0,
+            3.0,
+            1e15 + 0.5,
+            4.5e15,
+        ];
+        for k in 1..=64u32 {
+            let x = f64::from(k) / 16.0;
+            xs.extend([
+                x,
+                f64::from_bits(x.to_bits() - 1),
+                f64::from_bits(x.to_bits() + 1),
+            ]);
+        }
+        for x in xs {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x}");
+        }
     }
 
     #[test]

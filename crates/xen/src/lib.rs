@@ -22,4 +22,4 @@ pub mod sched;
 pub use domain::{DomId, Domain, DomainConfig, VbdStats, VifStats};
 pub use hypervisor::{Completion, Hypervisor, NetDirection};
 pub use overhead::OverheadModel;
-pub use sched::{Allocation, CreditScheduler, Demand, SchedParams};
+pub use sched::{Allocation, CreditScheduler, Demand, Quantum, SchedParams};

@@ -12,7 +12,9 @@
 //! served first in proportion to weight, then OVER domains share the
 //! remainder. Credits are refilled continuously (scaled by quantum
 //! length) and clamped to one period's worth, matching Xen's cap on
-//! credit accumulation.
+//! credit accumulation. A quantum whose demands fit the machine is
+//! granted in full without water-filling: the water-fill would end at
+//! the same grants, bit for bit (DESIGN.md §18.5).
 
 use crate::domain::DomId;
 use cloudchar_simcore::audit;
@@ -63,6 +65,10 @@ struct DomState {
 /// state allocates nothing.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
+    /// Which domain.
+    dom: DomId,
+    /// The listed demand, clamped at zero (NaN counts as zero).
+    demand: f64,
     /// Effective ceiling: demand ∧ vcpus·dt ∧ cap·dt.
     ceiling: f64,
     /// Scheduling weight.
@@ -171,16 +177,24 @@ impl CreditScheduler {
     /// `demands` lists runnable domains with their core-second demands,
     /// unique and in ascending id order; domains not listed are idle.
     /// `out` is overwritten with one [`Allocation`] per demanding domain
-    /// (same order). Idle capacity is simply unused.
+    /// (same order). Idle capacity is simply unused. The same as
+    /// [`CreditScheduler::plan`] then [`Quantum::grant`].
+    pub fn allocate_into(&mut self, dt_secs: f64, demands: &[Demand], out: &mut Vec<Allocation>) {
+        out.clear();
+        self.plan(dt_secs, demands.iter().copied())
+            .grant(|a| out.push(a));
+    }
+
+    /// Plan one quantum of length `dt_secs`: refill every registered
+    /// domain's credits, take `demands` (unique, in ascending id order;
+    /// domains not listed are idle) and fix each demand's grant. Credits
+    /// are debited, and the allocations handed out, by
+    /// [`Quantum::grant`].
     ///
     /// Every floating-point sum runs in domain-id order, so results are
     /// bit-identical however the caller's buffers were reused.
-    pub fn allocate_into(&mut self, dt_secs: f64, demands: &[Demand], out: &mut Vec<Allocation>) {
+    pub fn plan(&mut self, dt_secs: f64, demands: impl IntoIterator<Item = Demand>) -> Quantum<'_> {
         assert!(dt_secs > 0.0 && dt_secs.is_finite());
-        assert!(
-            demands.windows(2).all(|w| w[0].dom < w[1].dom),
-            "demands must be unique and sorted by domain id"
-        );
         // 1. Refill credits in proportion to weight, scaled to quantum
         //    length (recomputed only when the length or the registered
         //    set changes); clamp to ±1 period of full-machine capacity.
@@ -201,85 +215,81 @@ impl CreditScheduler {
             st.credits = (st.credits + st.refill).clamp(-self.clamp, self.clamp);
         }
 
-        // 2. Effective per-domain ceiling: demand ∧ vcpus·dt ∧ cap·dt.
+        // 2. Effective per-domain ceiling: demand ∧ vcpus·dt ∧ cap·dt,
+        //    and their sum in demand order.
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
-        slots.extend(demands.iter().map(|d| {
+        let mut ceilings = 0.0;
+        for d in demands {
+            assert!(
+                slots.last().map_or(true, |s: &Slot| s.dom < d.dom),
+                "demands must be unique and sorted by domain id"
+            );
             let st = self
                 .state(d.dom)
                 .unwrap_or_else(|| panic!("unregistered domain {:?}", d.dom));
-            let mut ceil = d.core_secs.max(0.0);
-            ceil = ceil.min(f64::from(st.params.vcpus) * dt_secs);
+            let demand = d.core_secs.max(0.0);
+            let mut ceil = demand.min(f64::from(st.params.vcpus) * dt_secs);
             if let Some(cap) = st.params.cap_percent {
                 ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
             }
-            Slot {
+            ceilings += ceil;
+            slots.push(Slot {
+                dom: d.dom,
+                demand,
                 ceiling: ceil,
                 weight: f64::from(st.params.weight),
                 granted: 0.0,
                 under: st.credits >= 0.0,
                 open: false,
-            }
-        }));
-
-        // 3. Two-class weighted water-filling, in demand order. A
-        //    domain's class is fixed for the quantum (credits move only
-        //    in steps 1 and 4), so each demand is granted at most once.
-        let mut remaining = capacity;
-        for under_class in [true, false] {
-            if remaining <= 1e-15 {
-                break;
-            }
-            for s in slots.iter_mut() {
-                s.open = s.ceiling > 1e-15 && s.under == under_class;
-            }
-            while remaining > 1e-15 && slots.iter().any(|s| s.open) {
-                let wsum: f64 = slots.iter().filter(|s| s.open).map(|s| s.weight).sum();
-                // Close the slots whose fair share covers their ceiling.
-                let mut saturated = false;
-                for s in slots.iter_mut().filter(|s| s.open) {
-                    if remaining * s.weight / wsum >= s.ceiling {
-                        s.granted = s.ceiling;
-                        s.open = false;
-                        saturated = true;
-                    }
-                }
-                // Deduct what saturated domains took (summed in id order).
-                let taken: f64 = slots.iter().map(|s| s.granted).sum();
-                remaining = capacity - taken;
-                if !saturated {
-                    // No one saturates: give proportional shares (of the
-                    // unchanged open set's `wsum`) and stop.
-                    for s in slots.iter_mut().filter(|s| s.open) {
-                        s.granted = remaining * s.weight / wsum;
-                    }
-                    remaining = 0.0;
-                    break;
-                }
-            }
-        }
-
-        // 4. Debit credits and produce allocations.
-        out.clear();
-        for (d, s) in demands.iter().zip(&slots) {
-            self.state_mut(d.dom).credits -= s.granted;
-            out.push(Allocation {
-                dom: d.dom,
-                core_secs: s.granted,
-                starved_core_secs: (d.core_secs.max(0.0) - s.granted).max(0.0),
             });
         }
-        self.slots = slots;
 
-        if audit::is_enabled() {
-            let total: f64 = out.iter().map(|a| a.core_secs).sum();
-            audit::check(
-                "xen.sched.capacity",
-                0,
-                total <= capacity * (1.0 + 1e-9) + 1e-12,
-                || format!("granted {total} core-s exceeds capacity {capacity} core-s"),
-            );
-            for a in out.iter() {
+        // 3. When the ceilings fit the machine the water-fill would
+        //    grant each one in full (DESIGN.md §18.5), so the grants are
+        //    written directly; otherwise the quantum is contended.
+        if ceilings <= capacity * (1.0 - UNCONTENDED_MARGIN) {
+            for s in slots.iter_mut() {
+                if s.ceiling > 1e-15 {
+                    s.granted = s.ceiling;
+                }
+            }
+        } else {
+            water_fill(&mut slots, capacity);
+        }
+        self.slots = slots;
+        Quantum {
+            sched: self,
+            capacity,
+        }
+    }
+}
+
+/// A planned quantum: every grant is fixed, no credit is debited yet.
+#[must_use = "a planned quantum debits credits only when granted"]
+#[derive(Debug)]
+pub struct Quantum<'a> {
+    sched: &'a mut CreditScheduler,
+    capacity: f64,
+}
+
+impl Quantum<'_> {
+    /// Debit each demanding domain's credits and hand its
+    /// [`Allocation`] to `each`, in demand order, one domain at a time.
+    pub fn grant(self, mut each: impl FnMut(Allocation)) {
+        let Quantum { sched, capacity } = self;
+        let auditing = audit::is_enabled();
+        let mut total = 0.0;
+        for i in 0..sched.slots.len() {
+            let s = sched.slots[i];
+            sched.state_mut(s.dom).credits -= s.granted;
+            let a = Allocation {
+                dom: s.dom,
+                core_secs: s.granted,
+                starved_core_secs: (s.demand - s.granted).max(0.0),
+            };
+            if auditing {
+                total += a.core_secs;
                 audit::check(
                     "xen.sched.allocation_nonnegative",
                     0,
@@ -295,7 +305,17 @@ impl CreditScheduler {
                     },
                 );
             }
-            for (id, st) in self.doms.iter().enumerate() {
+            each(a);
+        }
+
+        if auditing {
+            audit::check(
+                "xen.sched.capacity",
+                0,
+                total <= capacity * (1.0 + 1e-9) + 1e-12,
+                || format!("granted {total} core-s exceeds capacity {capacity} core-s"),
+            );
+            for (id, st) in sched.doms.iter().enumerate() {
                 let Some(st) = st else { continue };
                 audit::check(
                     "xen.sched.credits_finite",
@@ -309,6 +329,52 @@ impl CreditScheduler {
                         )
                     },
                 );
+            }
+        }
+    }
+}
+
+/// Relative headroom below capacity under which a quantum's ceilings
+/// count as fitting the machine: far above the rounding error of the
+/// water-fill's sums and shares, so inside it the water-fill provably
+/// saturates every slot (DESIGN.md §18.5).
+const UNCONTENDED_MARGIN: f64 = 1e-9;
+
+/// Two-class weighted water-filling of `capacity` over `slots`, in
+/// demand order. A domain's class is fixed for the quantum (credits move
+/// only in the refill and the debit), so each demand is granted at most
+/// once.
+fn water_fill(slots: &mut [Slot], capacity: f64) {
+    let mut remaining = capacity;
+    for under_class in [true, false] {
+        if remaining <= 1e-15 {
+            break;
+        }
+        for s in slots.iter_mut() {
+            s.open = s.ceiling > 1e-15 && s.under == under_class;
+        }
+        while remaining > 1e-15 && slots.iter().any(|s| s.open) {
+            let wsum: f64 = slots.iter().filter(|s| s.open).map(|s| s.weight).sum();
+            // Close the slots whose fair share covers their ceiling.
+            let mut saturated = false;
+            for s in slots.iter_mut().filter(|s| s.open) {
+                if remaining * s.weight / wsum >= s.ceiling {
+                    s.granted = s.ceiling;
+                    s.open = false;
+                    saturated = true;
+                }
+            }
+            // Deduct what saturated domains took (summed in id order).
+            let taken: f64 = slots.iter().map(|s| s.granted).sum();
+            remaining = capacity - taken;
+            if !saturated {
+                // No one saturates: give proportional shares (of the
+                // unchanged open set's `wsum`) and stop.
+                for s in slots.iter_mut().filter(|s| s.open) {
+                    s.granted = remaining * s.weight / wsum;
+                }
+                remaining = 0.0;
+                break;
             }
         }
     }

@@ -64,12 +64,10 @@ impl RefScheduler {
             .iter()
             .map(|d| {
                 let params = self.doms[&d.dom].0;
-                let mut ceil = d.core_secs.max(0.0);
-                ceil = ceil.min(f64::from(params.vcpus) * dt_secs);
-                if let Some(cap) = params.cap_percent {
-                    ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
-                }
-                (d.dom, ceil)
+                (
+                    d.dom,
+                    ceiling(d.core_secs, params.vcpus, params.cap_percent, dt_secs),
+                )
             })
             .collect();
         let mut granted: BTreeMap<DomId, f64> = ceilings.iter().map(|(d, _)| (*d, 0.0)).collect();
@@ -123,6 +121,97 @@ impl RefScheduler {
                 }
             })
             .collect()
+    }
+}
+
+/// A demand's effective ceiling: demand ∧ vcpus·dt ∧ cap·dt, with
+/// negative and NaN demands counting as zero.
+fn ceiling(core_secs: f64, vcpus: u32, cap_percent: Option<u32>, dt_secs: f64) -> f64 {
+    let mut ceil = core_secs.max(0.0);
+    ceil = ceil.min(f64::from(vcpus) * dt_secs);
+    if let Some(cap) = cap_percent {
+        ceil = ceil.min(f64::from(cap) / 100.0 * dt_secs);
+    }
+    ceil
+}
+
+/// Where a quantum's ceilings stop fitting the machine: below this sum
+/// the credit scheduler grants every ceiling without water-filling.
+fn fit_bound(cores: u32, dt_secs: f64) -> f64 {
+    f64::from(cores) * dt_secs * (1.0 - 1e-9)
+}
+
+/// Targets for the sum of a quantum's ceilings, relative to capacity:
+/// on the fit bound (nudged to within an ulp of either side), just
+/// inside and outside it, on both sides of capacity itself, and well
+/// past it.
+const FIT_TARGETS: [f64; 10] = [
+    1.0 - 1e-9,
+    1.0 - 1e-9,
+    1.0 - 2e-9,
+    1.0 - 1e-9 - 1e-12,
+    1.0 - 1e-9 + 1e-12,
+    1.0 - 5e-10,
+    1.0,
+    1.0 + 5e-10,
+    1.0 + 1e-6,
+    1.5,
+];
+
+/// Rescale the positive demands in `demands` so that the quantum's
+/// ceilings sum to about `FIT_TARGETS[target]` of capacity; for the
+/// first two targets, step the last positive demand by ulps until the
+/// sum (in demand order, as the scheduler adds it) lies at or just
+/// below the fit bound (`below`) or just above it. `limit(dom)` is the
+/// domain's ceiling for an unbounded demand. Does nothing when no
+/// demand is positive or the domains cannot reach the target.
+fn steer_to_fit_bound(
+    demands: &mut [Demand],
+    limit: impl Fn(DomId) -> f64,
+    cores: u32,
+    dt_secs: f64,
+    target: usize,
+    below: bool,
+) {
+    let capacity = f64::from(cores) * dt_secs;
+    let bound = fit_bound(cores, dt_secs);
+    let working: Vec<usize> = (0..demands.len())
+        .filter(|&i| demands[i].core_secs > 0.0)
+        .collect();
+    let Some(&last) = working.last() else { return };
+    let limits: f64 = working.iter().map(|&i| limit(demands[i].dom)).sum();
+    let rest: f64 = (0..demands.len())
+        .filter(|i| !working.contains(i))
+        .map(|i| demands[i].core_secs.max(0.0))
+        .sum();
+    let want = capacity * FIT_TARGETS[target] - rest;
+    if want >= limits || want <= 0.0 {
+        return;
+    }
+    for &i in &working {
+        demands[i].core_secs = limit(demands[i].dom) * (want / limits);
+    }
+    if target >= 2 {
+        return;
+    }
+    let sum = |demands: &[Demand]| -> f64 {
+        let mut s = 0.0;
+        for d in demands {
+            s += d.core_secs.max(0.0).min(limit(d.dom));
+        }
+        s
+    };
+    let ulp = f64::from_bits(bound.to_bits() + 1) - bound;
+    for _ in 0..1_000 {
+        let s = sum(demands);
+        let d = &mut demands[last].core_secs;
+        if below && s > bound {
+            *d -= ulp;
+        } else if !below && s <= bound && *d + ulp <= limit(demands[last].dom) {
+            *d += ulp;
+        } else {
+            break;
+        }
     }
 }
 
@@ -180,11 +269,17 @@ proptest! {
     /// The dense scheduler equals the map-based reference bit for bit
     /// over random multi-quantum runs: sparse domain ids, caps changed
     /// mid-run, domains dropping out of (and back into) the demand
-    /// list, zero demands, and one reused output buffer throughout.
-    /// Each quantum's length is drawn from {dt, 5 ms, 10 ms, 30 ms}, and
-    /// domains are removed and re-registered mid-run, so anything the
-    /// scheduler keeps between quanta sees both its length and its
-    /// total weight change under it.
+    /// list, zero, negative, NaN and sub-1e-15 demands, and one reused
+    /// output buffer throughout. Each quantum's length is drawn from
+    /// {dt, 5 ms, 10 ms, 30 ms}, and domains are removed and
+    /// re-registered mid-run, so anything the scheduler keeps between
+    /// quanta sees both its length and its total weight change under
+    /// it. About half the quanta have their demands steered so their
+    /// ceilings sum to the edge of fitting the machine (within an ulp
+    /// of either side of the fit bound, or just around it and around
+    /// capacity), where the scheduler switches between granting the
+    /// ceilings directly and water-filling; the heavy quanta push
+    /// domains into the OVER class, so both classes take part.
     #[test]
     fn scheduler_matches_reference_bit_for_bit(
         cores in 1u32..8,
@@ -196,10 +291,11 @@ proptest! {
         dt in 0.001f64..0.03,
         steps in proptest::collection::vec(
             (
-                proptest::collection::vec((0u8..4, 0.0f64..0.1), 6..7),
+                proptest::collection::vec((0u8..9, 0.0f64..0.1), 6..7),
                 proptest::option::of((0usize..6, proptest::option::of(1u32..200))),
                 0usize..4,
                 proptest::option::of(0usize..6),
+                proptest::option::of((0usize..FIT_TARGETS.len(), any::<bool>())),
             ),
             1..80
         ),
@@ -209,13 +305,14 @@ proptest! {
         let mut dense = CreditScheduler::new(cores);
         let mut reference = RefScheduler::new(cores);
         let mut registered = vec![true; doms.len()];
+        let mut caps: Vec<Option<u32>> = doms.iter().map(|d| d.1).collect();
         for (i, &(weight, cap_percent, vcpus)) in doms.iter().enumerate() {
             let params = SchedParams { weight, cap_percent, vcpus };
             dense.add_domain(id(i), params);
             reference.add_domain(id(i), params);
         }
         let mut out = Vec::new();
-        for (step, (per_dom, cap_change, length, toggle)) in steps.iter().enumerate() {
+        for (step, (per_dom, cap_change, length, toggle, fit)) in steps.iter().enumerate() {
             // Remove a registered domain, or re-register a removed one
             // with fresh credits and its original parameters.
             if let Some(i) = toggle.filter(|&i| i < doms.len()) {
@@ -227,6 +324,7 @@ proptest! {
                     let params = SchedParams { weight, cap_percent, vcpus };
                     dense.add_domain(id(i), params);
                     reference.add_domain(id(i), params);
+                    caps[i] = cap_percent;
                 }
                 registered[i] = !registered[i];
             }
@@ -234,21 +332,37 @@ proptest! {
                 if i < doms.len() && registered[i] {
                     dense.set_cap(id(i), cap);
                     reference.set_cap(id(i), cap);
+                    caps[i] = cap;
                 }
             }
             // Kind 0 drops the domain from this quantum's demand list,
-            // kind 1 lists it idle, kinds 2–3 give it work.
-            let demands: Vec<Demand> = per_dom
+            // kind 1 lists it idle, kinds 2–5 give it work, kind 6 a
+            // demand below the water-fill's 1e-15 threshold, kind 7 a
+            // negative demand and kind 8 NaN.
+            let dt = lengths[*length];
+            let mut demands: Vec<Demand> = per_dom
                 .iter()
                 .take(doms.len())
                 .enumerate()
                 .filter(|&(i, &(kind, _))| kind != 0 && registered[i])
                 .map(|(i, &(kind, cs))| Demand {
                     dom: id(i),
-                    core_secs: if kind == 1 { 0.0 } else { cs },
+                    core_secs: match kind {
+                        1 => 0.0,
+                        6 => cs * 1e-14,
+                        7 => -cs,
+                        8 => f64::NAN,
+                        _ => cs,
+                    },
                 })
                 .collect();
-            let dt = lengths[*length];
+            if let Some((target, below)) = *fit {
+                let limit = |dom: DomId| {
+                    let i = (dom.0 / stride) as usize;
+                    ceiling(f64::INFINITY, doms[i].2, caps[i], dt)
+                };
+                steer_to_fit_bound(&mut demands, limit, cores, dt, target, below);
+            }
             dense.allocate_into(dt, &demands, &mut out);
             let want = reference.allocate(dt, &demands);
             prop_assert_eq!(out.len(), want.len());

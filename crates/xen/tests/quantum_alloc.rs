@@ -1,8 +1,8 @@
 //! The steady-state Xen quantum allocates nothing.
 //!
 //! A counting global allocator tallies the bytes requested.
-//! After a warm-up that sizes every reusable buffer (demands,
-//! allocations, completion tokens, the scheduler's slots), a
+//! After a warm-up that sizes every reusable buffer (the completion
+//! tokens and the scheduler's slots), a
 //! `quantum_tick` on dom0 plus two busy guests — one of them capped,
 //! with a third guest crashed — must allocate 0 bytes.
 
