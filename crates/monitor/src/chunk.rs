@@ -53,6 +53,7 @@ use cloudchar_simcore::{SimDuration, SimTime};
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Default samples per chunk: the paper's 20-minute runs (600 samples)
 /// seal 2–3 chunks per series; week-long runs stay bounded.
@@ -453,11 +454,35 @@ impl<'a> ByteCursor<'a> {
 /// Bounded-memory reader over a finished trace file: the footer index
 /// lives in memory, sample data stays on disk until a [`SeriesCursor`]
 /// streams it chunk by chunk.
+///
+/// The reader keeps the one file handle it validated the file through,
+/// and every cursor reads its frames from that handle by position, so
+/// cursors on several threads share it without seeking. Cursors hand
+/// their decode buffers back to the reader when dropped and the next
+/// cursor reuses them.
 #[derive(Debug)]
 pub struct ChunkReader {
     path: PathBuf,
+    file: File,
     hosts: Vec<HostLabel>,
     index: Vec<IndexEntry>,
+    /// Payload and value buffers of dropped cursors.
+    spare: Mutex<Vec<(Vec<u8>, Vec<f64>)>>,
+}
+
+/// Fill `buf` from `file` at byte `offset`, leaving the handle's own
+/// position alone.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fill `buf` from `file` at byte `offset`, through a cloned handle.
+#[cfg(not(unix))]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    let mut f = file.try_clone()?;
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf)
 }
 
 impl ChunkReader {
@@ -580,8 +605,10 @@ impl ChunkReader {
         }
         Ok(ChunkReader {
             path: path.to_path_buf(),
+            file,
             hosts,
             index,
+            spare: Mutex::new(Vec::new()),
         })
     }
 
@@ -640,19 +667,24 @@ impl ChunkReader {
     }
 
     /// Open a streaming cursor over one series; an absent metric yields
-    /// no chunks. The cursor owns its own file handle, so cursors can
-    /// run in parallel pool workers.
+    /// no chunks. Cursors read through the reader's shared handle by
+    /// position, so they can run in parallel pool workers.
     pub fn cursor(&self, host: &str, metric: MetricId) -> io::Result<SeriesCursor<'_>> {
         if self.find_host(host).is_none() {
             return Err(bad(format!("host {host:?} not present in trace")));
         }
+        let (payload, values) = self
+            .spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .unwrap_or_default();
         Ok(SeriesCursor {
-            file: File::open(&self.path)?,
-            path: &self.path,
+            reader: self,
             entries: self.entries(host, metric),
             next: 0,
-            payload: Vec::new(),
-            values: Vec::new(),
+            payload,
+            values,
         })
     }
 }
@@ -662,12 +694,25 @@ impl ChunkReader {
 /// reused buffer, so peak resident series memory is one chunk.
 #[derive(Debug)]
 pub struct SeriesCursor<'a> {
-    file: File,
-    path: &'a Path,
+    reader: &'a ChunkReader,
     entries: &'a [IndexEntry],
     next: usize,
     payload: Vec<u8>,
     values: Vec<f64>,
+}
+
+impl Drop for SeriesCursor<'_> {
+    fn drop(&mut self) {
+        let buffers = (
+            std::mem::take(&mut self.payload),
+            std::mem::take(&mut self.values),
+        );
+        self.reader
+            .spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(buffers);
+    }
 }
 
 impl SeriesCursor<'_> {
@@ -684,9 +729,9 @@ impl SeriesCursor<'_> {
             return Ok(None);
         };
         self.next += 1;
-        self.file.seek(SeekFrom::Start(e.offset))?;
+        let path = &self.reader.path;
         let mut frame = [0u8; 12];
-        self.file.read_exact(&mut frame)?;
+        read_exact_at(&self.reader.file, &mut frame, e.offset)?;
         let payload_len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
         let checksum = u64::from_le_bytes([
             frame[4], frame[5], frame[6], frame[7], frame[8], frame[9], frame[10], frame[11],
@@ -694,16 +739,16 @@ impl SeriesCursor<'_> {
         if payload_len != e.payload_len || checksum != e.checksum {
             return Err(bad(format!(
                 "{}: chunk frame at offset {} disagrees with the footer index",
-                self.path.display(),
+                path.display(),
                 e.offset
             )));
         }
         self.payload.resize(payload_len as usize, 0);
-        self.file.read_exact(&mut self.payload)?;
+        read_exact_at(&self.reader.file, &mut self.payload, e.offset + 12)?;
         if fnv64(&self.payload) != checksum {
             return Err(bad(format!(
                 "{}: chunk checksum mismatch at offset {} — payload is corrupt",
-                self.path.display(),
+                path.display(),
                 e.offset
             )));
         }
@@ -718,7 +763,7 @@ impl SeriesCursor<'_> {
         if host != e.host || metric != e.metric || seq != e.seq || count != e.count {
             return Err(bad(format!(
                 "{}: chunk payload header disagrees with the footer index at offset {}",
-                self.path.display(),
+                path.display(),
                 e.offset
             )));
         }
@@ -926,6 +971,42 @@ mod tests {
             .map(|(h, m, s)| (h.to_string(), m, s.clone()))
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn reader_keeps_its_handle_after_the_file_is_deleted() {
+        // One handle serves every cursor: once open, the reader no
+        // longer needs the path, so every series reads back bit-equal
+        // to the resident store after the file is unlinked.
+        let path = tmp("unlinked.cctr");
+        let mut store = SeriesStore::new();
+        for host in ["web-vm", "mysql-vm", "dom0"] {
+            for m in 0u16..40 {
+                for i in 0..300 {
+                    let v = (i as f64 * 0.37 + f64::from(m)).sin() * 1e3;
+                    store.record(host, MetricId(m), t0(), dt(), v);
+                }
+            }
+        }
+        write_store(&store, &path, 64).unwrap();
+        let reader = ChunkReader::open(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let mut series = 0;
+        for (host, metric, want) in store.iter() {
+            let mut cur = reader.cursor(host, metric).unwrap();
+            assert_eq!(cur.timing(), Some((want.start, want.interval)));
+            let mut got = Vec::new();
+            while let Some(values) = cur.next_chunk().unwrap() {
+                got.extend(values.iter().map(|v| v.to_bits()));
+            }
+            let want: Vec<u64> = want.values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{host}/{}", metric.0);
+            series += 1;
+        }
+        assert_eq!(series, 120);
+        // Each cursor handed its buffers back before the next took them.
+        assert_eq!(reader.spare.lock().unwrap().len(), 1);
     }
 
     #[test]
