@@ -5,8 +5,6 @@
 //! single pass after one warm-up call, and a pass of a few hundred
 //! nanoseconds would be dominated by first-call effects.
 //!
-//! `--quantum` runs only the `xen/quantum_tick` group.
-//!
 //! `--smoke` runs a crowd-shaped buffer-pool touch list through
 //! `BufferPool::read_all` and through the per-touch `access` loop, and
 //! exits non-zero unless both leave equal counters and recency order
@@ -432,9 +430,6 @@ criterion_group!(
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         smoke();
-    } else if std::env::args().any(|a| a == "--quantum") {
-        let mut c = Criterion::default();
-        bench_quantum_tick(&mut c);
     } else {
         benches();
     }

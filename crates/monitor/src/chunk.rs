@@ -466,7 +466,8 @@ pub struct ChunkReader {
     file: File,
     hosts: Vec<HostLabel>,
     index: Vec<IndexEntry>,
-    /// Payload and value buffers of dropped cursors.
+    /// Payload and value buffers of dropped cursors. Each push and pop
+    /// leaves the list valid, so a poisoned lock is recovered.
     spare: Mutex<Vec<(Vec<u8>, Vec<f64>)>>,
 }
 

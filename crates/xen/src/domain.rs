@@ -162,6 +162,7 @@ impl Domain {
     /// work FIFO. Completed application tokens are appended to `out`.
     /// Returns the cycles actually executed, exact and rounded (the
     /// rounded count is what `virt_cycles` was charged).
+    #[inline]
     pub fn execute(&mut self, budget: f64, out: &mut Vec<WorkToken>) -> (f64, u64) {
         let overhead_part = self.overhead_cycles.min(budget);
         self.overhead_cycles -= overhead_part;

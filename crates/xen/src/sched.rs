@@ -278,58 +278,71 @@ impl Quantum<'_> {
     /// [`Allocation`] to `each`, in demand order, one domain at a time.
     pub fn grant(self, mut each: impl FnMut(Allocation)) {
         let Quantum { sched, capacity } = self;
-        let auditing = audit::is_enabled();
-        let mut total = 0.0;
         for i in 0..sched.slots.len() {
             let s = sched.slots[i];
             sched.state_mut(s.dom).credits -= s.granted;
-            let a = Allocation {
-                dom: s.dom,
-                core_secs: s.granted,
-                starved_core_secs: (s.demand - s.granted).max(0.0),
-            };
-            if auditing {
-                total += a.core_secs;
-                audit::check(
-                    "xen.sched.allocation_nonnegative",
-                    0,
-                    a.core_secs >= 0.0
-                        && a.core_secs.is_finite()
-                        && a.starved_core_secs >= 0.0
-                        && a.starved_core_secs.is_finite(),
-                    || {
-                        format!(
-                            "domain {:?}: granted {} core-s, starved {} core-s",
-                            a.dom, a.core_secs, a.starved_core_secs
-                        )
-                    },
-                );
-            }
-            each(a);
+            each(s.allocation());
         }
+        if audit::is_enabled() {
+            sched.audit_quantum(capacity);
+        }
+    }
+}
 
-        if auditing {
+impl Slot {
+    fn allocation(&self) -> Allocation {
+        Allocation {
+            dom: self.dom,
+            core_secs: self.granted,
+            starved_core_secs: (self.demand - self.granted).max(0.0),
+        }
+    }
+}
+
+impl CreditScheduler {
+    /// The invariant checks of a granted quantum. Kept out of
+    /// [`Quantum::grant`], whose loop runs for every domain of every
+    /// quantum.
+    #[inline(never)]
+    fn audit_quantum(&self, capacity: f64) {
+        let mut total = 0.0;
+        for a in self.slots.iter().map(Slot::allocation) {
+            total += a.core_secs;
             audit::check(
-                "xen.sched.capacity",
+                "xen.sched.allocation_nonnegative",
                 0,
-                total <= capacity * (1.0 + 1e-9) + 1e-12,
-                || format!("granted {total} core-s exceeds capacity {capacity} core-s"),
+                a.core_secs >= 0.0
+                    && a.core_secs.is_finite()
+                    && a.starved_core_secs >= 0.0
+                    && a.starved_core_secs.is_finite(),
+                || {
+                    format!(
+                        "domain {:?}: granted {} core-s, starved {} core-s",
+                        a.dom, a.core_secs, a.starved_core_secs
+                    )
+                },
             );
-            for (id, st) in sched.doms.iter().enumerate() {
-                let Some(st) = st else { continue };
-                audit::check(
-                    "xen.sched.credits_finite",
-                    0,
-                    st.credits.is_finite(),
-                    || {
-                        format!(
-                            "domain {:?} credit balance is {}",
-                            DomId(id as u32),
-                            st.credits
-                        )
-                    },
-                );
-            }
+        }
+        audit::check(
+            "xen.sched.capacity",
+            0,
+            total <= capacity * (1.0 + 1e-9) + 1e-12,
+            || format!("granted {total} core-s exceeds capacity {capacity} core-s"),
+        );
+        for (id, st) in self.doms.iter().enumerate() {
+            let Some(st) = st else { continue };
+            audit::check(
+                "xen.sched.credits_finite",
+                0,
+                st.credits.is_finite(),
+                || {
+                    format!(
+                        "domain {:?} credit balance is {}",
+                        DomId(id as u32),
+                        st.credits
+                    )
+                },
+            );
         }
     }
 }

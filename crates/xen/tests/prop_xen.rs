@@ -274,12 +274,13 @@ proptest! {
     /// {dt, 5 ms, 10 ms, 30 ms}, and domains are removed and
     /// re-registered mid-run, so anything the scheduler keeps between
     /// quanta sees both its length and its total weight change under
-    /// it. About half the quanta have their demands steered so their
-    /// ceilings sum to the edge of fitting the machine (within an ulp
-    /// of either side of the fit bound, or just around it and around
-    /// capacity), where the scheduler switches between granting the
-    /// ceilings directly and water-filling; the heavy quanta push
-    /// domains into the OVER class, so both classes take part.
+    /// it. Three quarters of the quanta have their demands steered so
+    /// their ceilings sum to the edge of fitting the machine (within an
+    /// ulp of either side of the fit bound, just around it, around
+    /// capacity, or past it) whenever the listed domains can reach that
+    /// sum; there the scheduler switches between granting the ceilings
+    /// directly and water-filling. The heavy quanta push domains into
+    /// the OVER class, so both classes take part.
     #[test]
     fn scheduler_matches_reference_bit_for_bit(
         cores in 1u32..8,
