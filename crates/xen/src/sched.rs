@@ -250,7 +250,7 @@ impl CreditScheduler {
         //    written directly; otherwise the quantum is contended.
         if ceilings <= capacity * (1.0 - UNCONTENDED_MARGIN) {
             for s in slots.iter_mut() {
-                if s.ceiling > 1e-15 {
+                if s.ceiling > NEGLIGIBLE {
                     s.granted = s.ceiling;
                 }
             }
@@ -353,6 +353,11 @@ impl CreditScheduler {
 /// saturates every slot (DESIGN.md §18.5).
 const UNCONTENDED_MARGIN: f64 = 1e-9;
 
+/// Core-seconds at or below which the water-fill neither opens a slot
+/// nor hands out what capacity remains; the direct grants leave such
+/// slots at 0 too.
+const NEGLIGIBLE: f64 = 1e-15;
+
 /// Two-class weighted water-filling of `capacity` over `slots`, in
 /// demand order. A domain's class is fixed for the quantum (credits move
 /// only in the refill and the debit), so each demand is granted at most
@@ -360,13 +365,13 @@ const UNCONTENDED_MARGIN: f64 = 1e-9;
 fn water_fill(slots: &mut [Slot], capacity: f64) {
     let mut remaining = capacity;
     for under_class in [true, false] {
-        if remaining <= 1e-15 {
+        if remaining <= NEGLIGIBLE {
             break;
         }
         for s in slots.iter_mut() {
-            s.open = s.ceiling > 1e-15 && s.under == under_class;
+            s.open = s.ceiling > NEGLIGIBLE && s.under == under_class;
         }
-        while remaining > 1e-15 && slots.iter().any(|s| s.open) {
+        while remaining > NEGLIGIBLE && slots.iter().any(|s| s.open) {
             let wsum: f64 = slots.iter().filter(|s| s.open).map(|s| s.weight).sum();
             // Close the slots whose fair share covers their ceiling.
             let mut saturated = false;
