@@ -15,7 +15,7 @@
 //! [`load`]: SeriesScratch::load
 
 use crate::fft::FftScratch;
-use crate::fit::{self, FitResult};
+use crate::fit::{self, FitResult, MomentWinner};
 use crate::jumps::{self, Jump};
 use crate::spectrum::{self, Peak};
 use crate::summary::{self, Summary};
@@ -35,6 +35,13 @@ pub struct SeriesScratch {
     centered: Vec<f64>,
     /// Sorted copy (built lazily for percentiles and fitting).
     sorted: Vec<f64>,
+    /// Start of every run of bit-equal values in `sorted`, then its
+    /// length (built with `winner`).
+    run_starts: Vec<usize>,
+    /// CDF values of the KS scan's coarse pass.
+    ks_coarse: Vec<f64>,
+    /// The moment families' ranking (built lazily for fitting).
+    winner: Option<MomentWinner>,
     /// Prefix sums of `values` (built lazily for sliding windows).
     prefix: Vec<f64>,
     /// Raw `|X(k)|²` spectrum buffer.
@@ -76,6 +83,9 @@ impl SeriesScratch {
             values: Vec::new(),
             centered: Vec::new(),
             sorted: Vec::new(),
+            run_starts: Vec::new(),
+            ks_coarse: Vec::new(),
+            winner: None,
             prefix: Vec::new(),
             power: Vec::new(),
             peaks: Vec::new(),
@@ -132,6 +142,7 @@ impl SeriesScratch {
             .extend(self.values.iter().map(|x| x - self.mean));
         self.total_power = self.centered.iter().map(|x| x * x).sum();
         self.sorted_valid = false;
+        self.winner = None;
         self.prefix_valid = false;
         self.peaks_valid = false;
     }
@@ -208,13 +219,49 @@ impl SeriesScratch {
     /// [`crate::best_fit`], sharing the sorted copy and moments with the
     /// other analyses instead of recomputing them.
     pub fn best_fit(&mut self) -> Option<FitResult> {
+        self.best_fit_scaled(1.0)
+    }
+
+    /// [`best_fit`](SeriesScratch::best_fit) of the loaded series
+    /// multiplied by `scale`, without loading it: the ranking of
+    /// Normal, Uniform and Exponential is kept from the loaded series
+    /// (computed once per load) and only the LogNormal is scored anew.
+    ///
+    /// `scale` must be a power of two under which every loaded sample,
+    /// the mean and the variance stay normal `f64`s (zeros aside);
+    /// then `+ − × ÷ sqrt` commute with it exactly and the result is
+    /// the scaled series' own `best_fit`, bit for bit.
+    pub fn best_fit_scaled(&mut self, scale: f64) -> Option<FitResult> {
         let n = self.values.len();
         if n < 8 || !self.moments.all_finite {
             return None;
         }
         self.ensure_sorted();
         let var = self.total_power / n as f64;
-        fit::best_sorted(&self.sorted, self.mean, var)
+        let winner = match self.winner {
+            Some(winner) => winner,
+            None => {
+                fit::run_starts_into(&self.sorted, &mut self.run_starts);
+                let winner = fit::moment_winner(
+                    &self.sorted,
+                    &self.run_starts,
+                    self.mean,
+                    var,
+                    &mut self.ks_coarse,
+                );
+                self.winner = Some(winner);
+                winner
+            }
+        };
+        Some(fit::winner_at_scale(
+            &self.sorted,
+            &self.run_starts,
+            winner,
+            scale,
+            self.mean,
+            var,
+            &mut self.ks_coarse,
+        ))
     }
 
     /// Full periodogram over DFT bins `1..=n/2` — same result as
@@ -325,6 +372,26 @@ mod tests {
         let mut scratch = SeriesScratch::new();
         scratch.load(&xs);
         assert_eq!(bits(scratch.best_fit()), bits(best_fit(&xs)));
+    }
+
+    #[test]
+    fn scaled_fit_equals_the_fit_of_the_scaled_series() {
+        // Positive series, so the LogNormal takes part and is rescored;
+        // the skewed one lets it win at some scales.
+        let skewed: Vec<f64> = series(200, 5).iter().map(|x| (x / 40.0).exp()).collect();
+        let mut scratch = SeriesScratch::new();
+        let mut fresh = SeriesScratch::new();
+        for xs in [series(150, 7), skewed] {
+            for k in [-40, -3, -1, 0, 1, 5, 60] {
+                let scale = 2f64.powi(k);
+                let scaled: Vec<f64> = xs.iter().map(|x| x * scale).collect();
+                scratch.load(&xs);
+                let got = scratch.best_fit_scaled(scale);
+                fresh.load(&scaled);
+                let want = fresh.best_fit();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! `results/BENCH_analysis.json`.
 //!
 //! `--smoke` runs a reduced spectrum+lag comparison and exits non-zero
-//! if the fast path is slower than the naive engine (ci.sh gate).
+//! if the fast path is slower than the naive engine, or if the
+//! scale-classed `full_characterize` of a `fast` run (either
+//! deployment) differs from profiling every series (ci.sh gate).
 //! `--json` re-measures every section, including `characterize_steps`
 //! (the per-step split of profiling the `fast` paper catalog), and
 //! rewrites `results/BENCH_analysis.json` (set `BENCH_DATE=YYYY-MM-DD`
@@ -17,9 +19,13 @@ use cloudchar_analysis::{
     autocorrelation, detect_jumps, find_lag, find_lag_naive, fit_all, goertzel_periodogram,
     summarize, Resource, SeriesScratch,
 };
-use cloudchar_core::{characterize_jobs, full_characterize, run, Deployment, ExperimentConfig};
-use cloudchar_monitor::catalog;
+use cloudchar_core::{
+    characterize_jobs, full_characterize, full_characterize_source, profile_plan, run, Deployment,
+    ExperimentConfig, ExperimentResult, ProfilePlan, SeriesSource,
+};
+use cloudchar_monitor::{catalog, MetricId};
 use cloudchar_rubis::WorkloadMix;
+use cloudchar_simcore::SimDuration;
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -179,10 +185,10 @@ fn profile_timed(
 /// the clock time between its start and end, so no entry can be
 /// negative; each step's entry is its best of `reps` passes. Every
 /// entry includes one clock read, whose cost is measured on its own.
-/// Returns the series count, the distinct-series count, the per-step
-/// µs per series, `full_characterize(r, 1)` in µs per series and the
-/// clock read in µs.
-fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64, f64) {
+/// Returns `full_characterize`'s plan (series, distinct series, scale
+/// classes, derived members), the per-step µs per series,
+/// `full_characterize(r, 1)` in µs per series and the clock read in µs.
+fn characterize_steps(reps: usize) -> (ProfilePlan, Vec<f64>, f64, f64) {
     let r = run(ExperimentConfig::fast(
         Deployment::Virtualized,
         WorkloadMix::BROWSING,
@@ -194,11 +200,7 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64, f64) {
         .flat_map(|host| c.ids().filter_map(|id| r.store.get(host, id)))
         .map(|s| s.values.as_slice())
         .collect();
-    let distinct = series
-        .iter()
-        .map(|xs| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
-        .collect::<std::collections::HashSet<_>>()
-        .len();
+    let plan = profile_plan(&r);
     let mut scratch = SeriesScratch::new();
     let per_series = |ns: u128| ns as f64 / 1e3 / series.len() as f64;
     // Interleave the timed passes and the full pass, so machine noise
@@ -223,8 +225,7 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64, f64) {
     });
     let split = best.iter().map(|&ns| per_series(ns)).collect();
     (
-        series.len(),
-        distinct,
+        plan,
         split,
         per_series(full),
         clock as f64 / 1e3 / f64::from(READS),
@@ -233,7 +234,14 @@ fn characterize_steps(reps: usize) -> (usize, usize, Vec<f64>, f64, f64) {
 
 /// Print the per-step split and return it as a JSON section.
 fn characterize_steps_section() -> String {
-    let (series, distinct, split, full, clock) = characterize_steps(50);
+    let (plan, split, full, clock) = characterize_steps(50);
+    let ProfilePlan {
+        series,
+        distinct,
+        classes,
+        derived,
+        direct,
+    } = plan;
     let total: f64 = split.iter().sum();
     let mut steps = String::new();
     for (name, us) in STEPS.iter().zip(&split) {
@@ -241,10 +249,11 @@ fn characterize_steps_section() -> String {
         steps.push_str(&format!("\"{name}\": {us:.3}, "));
     }
     eprintln!("[bench] characterize steps total {total:.3} us/series over {series} series ({distinct} distinct)");
+    eprintln!("[bench] scale classes: {classes} profiled, {derived} derived, {direct} direct");
     eprintln!("[bench] full_characterize(jobs 1) {full:.3} us/series");
     eprintln!("[bench] one clock read {clock:.3} us");
     format!(
-        "  \"characterize_steps\": {{\n    \"series\": {series},\n    \"distinct\": {distinct},\n    \"us_per_series\": {{ {steps}\"total\": {total:.3} }},\n    \"full_characterize_jobs1_us_per_series\": {full:.3},\n    \"clock_read_us\": {clock:.3}\n  }},\n"
+        "  \"characterize_steps\": {{\n    \"series\": {series},\n    \"distinct\": {distinct},\n    \"classes\": {classes},\n    \"derived\": {derived},\n    \"direct\": {direct},\n    \"us_per_series\": {{ {steps}\"total\": {total:.3} }},\n    \"full_characterize_jobs1_us_per_series\": {full:.3},\n    \"clock_read_us\": {clock:.3}\n  }},\n"
     )
 }
 
@@ -323,7 +332,46 @@ fn smoke() {
         fast <= naive,
         "fast analysis path regressed below the naive engine ({speedup:.2}x)"
     );
+    for deployment in [Deployment::Virtualized, Deployment::NonVirtualized] {
+        let r = run(ExperimentConfig::fast(deployment, WorkloadMix::BROWSING));
+        let classed = serde_json::to_string(&full_characterize(&r, 2)).unwrap();
+        let every =
+            serde_json::to_string(&full_characterize_source(&EverySeries(&r), 2).unwrap()).unwrap();
+        let plan = profile_plan(&r);
+        println!("analysis smoke: {deployment:?} {plan:?}");
+        assert!(
+            classed == every,
+            "{deployment:?}: the scale-classed characterization differs from profiling every series"
+        );
+    }
     println!("analysis smoke: PASS");
+}
+
+/// A run's series without in-place access, so `full_characterize_source`
+/// profiles every series, as it does off disk.
+struct EverySeries<'a>(&'a ExperimentResult);
+
+impl SeriesSource for EverySeries<'_> {
+    fn hosts(&self) -> Vec<String> {
+        self.0.hosts()
+    }
+
+    fn interval(&self) -> Option<SimDuration> {
+        self.0.interval()
+    }
+
+    fn has_series(&self, host: &str, metric: MetricId) -> bool {
+        self.0.has_series(host, metric)
+    }
+
+    fn read_chunks(
+        &self,
+        host: &str,
+        metric: MetricId,
+        sink: &mut dyn FnMut(&[f64]),
+    ) -> std::io::Result<()> {
+        self.0.read_chunks(host, metric, sink)
+    }
 }
 
 /// Re-measure every section and rewrite `results/BENCH_analysis.json`.
@@ -380,7 +428,7 @@ fn record_json() {
 
     let recorded = std::env::var("BENCH_DATE").unwrap_or_else(|_| "unrecorded".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, 50 interleaved passes that each run all steps (load, summary, best_fit, autocorrelation, jumps, periodogram) and charge a step the clock time from its start to its end, each step's entry the best of its 50 (load computes the lag-1 co-moments in its moments loop, so the autocorrelation step only reads them); every entry includes one clock read, clock_read_us; distinct = series left after bitwise deduplication; full_characterize_jobs1_us_per_series = the deduplicated full_characterize(r, 1) divided by the series count.\"\n}}\n"
+        "{{\n  \"bench\": \"crates/bench/benches/analysis.rs\",\n  \"model\": \"single-series spectrum (full periodogram) + lag scan (max_lag 10) at 600/10k/100k samples; end-to-end characterization of one paper-scale virtualized browsing run, resource level (13 series) and full 518-metric catalog; per-step profile cost over the fast virtualized browsing catalog (seed 42)\",\n  \"units\": \"ns/iter (characterize_steps: us per series)\",\n  \"command\": \"BENCH_DATE=YYYY-MM-DD cargo bench -p cloudchar-bench --bench analysis -- --json\",\n  \"recorded\": \"{recorded}\",\n{sections}  \"notes\": \"fft_prefix = real-input FFT periodogram (radix-2 + Bluestein) + prefix-sum Pearson lag scan through one SeriesScratch; goertzel_naive = pre-refactor per-bin Goertzel spectrum + per-shift naive Pearson (kept in-tree as the test oracle). pooled_jobs4 = characterize_jobs/full_characterize on the bounded 4-worker pool; serial_naive = the old serial free-function engine. Acceptance: >= 5x spectrum+lag at n=10,000 and >= 3x end-to-end characterize at paper scale with jobs >= 4; ci.sh runs `--smoke` which fails if the fast path is ever slower than the naive engine. characterize_steps = every catalog series of the fast run profiled on one thread without deduplication, 50 interleaved passes that each run all steps (load, summary, best_fit, autocorrelation, jumps, periodogram) and charge a step the clock time from its start to its end, each step's entry the best of its 50 (load computes the lag-1 co-moments in its moments loop, so the autocorrelation step only reads them); every entry includes one clock read, clock_read_us; distinct = bitwise-distinct series; classes = exact power-of-two scale classes, one profile each; derived = distinct series whose profile is derived from their class representative; direct = class members profiled directly because the 1e-9 jump-threshold floor forbids the derivation; full_characterize_jobs1_us_per_series = the scale-classed full_characterize(r, 1) divided by the series count.\"\n}}\n"
     );
     // cargo bench runs with cwd = the package root; anchor to the
     // workspace results/ directory regardless.

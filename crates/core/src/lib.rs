@@ -46,8 +46,9 @@ pub mod workload;
 
 pub use batch::{run_batch, BatchConfig, BatchResult};
 pub use characterize::{
-    characterize, characterize_jobs, full_characterize, full_characterize_source, Characterization,
-    FullCharacterization, MetricProfile, ResourceProfile, TransactionProfile,
+    characterize, characterize_jobs, full_characterize, full_characterize_source, profile_plan,
+    Characterization, FullCharacterization, MetricProfile, ProfilePlan, ResourceProfile,
+    TransactionProfile,
 };
 pub use compare::{
     paper_values, q1_tier_lag, q2_ram_jumps, q3_disk_cv, r1_front_vs_back, r2_vms_vs_dom0,

@@ -100,6 +100,17 @@ impl WorkQueue {
             budget.is_finite() && budget >= 0.0,
             "invalid budget: {budget}"
         );
+        if self.items.is_empty() {
+            // Nothing runs: `executed` stays 0, and the backlog is >= 0
+            // on entry (`push` adds non-negative demands to it, `clear`
+            // zeroes it, and every drain ends by clamping it at 0), so
+            // the clamp below would leave it alone. The audit still sees
+            // both checks, which hold.
+            if cloudchar_simcore::audit::is_enabled() {
+                self.audit_drain(0.0, budget);
+            }
+            return 0.0;
+        }
         // Accumulate executed cycles directly rather than via
         // `budget - remaining`: with very large budgets, subtracting a
         // small job from the budget is absorbed by floating point and
@@ -134,6 +145,17 @@ impl WorkQueue {
             }
         }
         self.executed.add(round_u64(executed));
+        self.audit_drain(executed, budget);
+        // Guard against floating-point drift pushing the backlog negative.
+        if self.backlog_cycles < 0.0 {
+            self.backlog_cycles = 0.0;
+        }
+        executed
+    }
+
+    /// The two invariants of a drain that executed `executed` cycles
+    /// against `budget`.
+    fn audit_drain(&self, executed: f64, budget: f64) {
         cloudchar_simcore::audit::check(
             "hw.cpu.budget_respected",
             0,
@@ -148,11 +170,6 @@ impl WorkQueue {
             self.backlog_cycles > -1.0,
             || format!("backlog drifted to {} cycles", self.backlog_cycles),
         );
-        // Guard against floating-point drift pushing the backlog negative.
-        if self.backlog_cycles < 0.0 {
-            self.backlog_cycles = 0.0;
-        }
-        executed
     }
 
     /// Drop all queued work (a crash): returns the tokens of every
@@ -270,6 +287,30 @@ mod tests {
         // ...but a zero-cycle item needs an actual drain call with budget.
         q.drain(1.0, &mut done);
         assert_eq!(done, vec![WorkToken(1)]);
+    }
+
+    #[test]
+    fn empty_drain_changes_nothing_and_is_still_audited() {
+        let mut q = WorkQueue::new();
+        q.push(WorkToken(1), 100.0);
+        let mut done = Vec::new();
+        q.drain(60.0, &mut done);
+        q.drain(40.0, &mut done);
+        let backlog = q.backlog_cycles();
+        cloudchar_simcore::audit::enable();
+        assert_eq!(q.drain(1e9, &mut done), 0.0);
+        let report = cloudchar_simcore::audit::take_report();
+        assert_eq!((report.checks, report.violations_total), (2, 0));
+        assert_eq!(q.backlog_cycles().to_bits(), backlog.to_bits());
+        assert_eq!(done, vec![WorkToken(1)]);
+        assert_eq!(q.executed_total(), 100);
+        assert_eq!(q.drain(0.0, &mut done), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid budget")]
+    fn empty_drain_still_rejects_a_nan_budget() {
+        WorkQueue::new().drain(f64::NAN, &mut Vec::new());
     }
 
     #[test]
